@@ -16,10 +16,13 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -45,11 +48,53 @@ func main() {
 	}
 }
 
+// startProfiles starts the CPU profile named by -cpuprofile. The returned
+// stop ends it and writes the heap profile named by -memprofile; it runs
+// on every exit path of run, so a failed run still leaves its profiles.
+// With both paths empty nothing starts and stop is a no-op.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+	}
+	return func() error {
+		var errs []error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			errs = append(errs, cpu.Close())
+		}
+		if memPath != "" {
+			errs = append(errs, writeHeapProfile(memPath))
+		}
+		return errors.Join(errs...)
+	}, nil
+}
+
+// writeHeapProfile writes the live heap, as of a fresh GC, to path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return fmt.Errorf("-memprofile: %w", err)
+	}
+	return f.Close()
+}
+
 // run is the whole tool behind an error return: no exit points between a
 // side effect and its deferred cleanup, so a late failure (say, an
 // unwritable -svg path) cannot skip the trace flush — and tests drive
 // the binary end to end without forking.
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("gmdf", flag.ContinueOnError)
 	model := fs.String("model", "heating", "built-in model (heating|traffic|ring|dist) or COMDES model XML path; a placed multi-node model (dist) debugs as a cluster on a TDMA bus")
 	scenario := fs.String("scenario", "", "scenario DSL file (.gmdf) to debug instead of -model; the source runs the full front end (parse, check, lint) and any finding prints as file:line:col with a caret excerpt")
@@ -82,9 +127,20 @@ func run(args []string, out io.Writer) error {
 	campaignDropBudget := fs.Int64("campaign-drop-budget", -1, "cluster-wide frame-drop tolerance (negative disables the check)")
 	campaignShrink := fs.Bool("campaign-shrink", false, "binary-search each violating variant to its minimal repro window and attach the trace")
 	campaignOut := fs.String("campaign-out", "", "write the aggregate JSON here (default: stdout)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run here (go tool pprof format)")
+	memProfile := fs.String("memprofile", "", "write a heap profile taken at the end of the run here (go tool pprof format)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProfiles(); err == nil {
+			err = perr
+		}
+	}()
 	be, err := target.ParseBackend(*backend)
 	if err != nil {
 		return err

@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
 	"os"
@@ -167,4 +170,76 @@ func TestConnectDetachResume(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("detach/resume trace differs from the uninterrupted run")
 	}
+}
+
+// TestProfileFlagsWriteProfiles: -cpuprofile and -memprofile each leave a
+// non-empty profile in the pprof format (a gzip-compressed protobuf
+// message whose string table starts with the empty string).
+func TestProfileFlagsWriteProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu := filepath.Join(dir, "cpu.prof")
+	mem := filepath.Join(dir, "mem.prof")
+	args := []string{"-model", "ring", "-transport", "active", "-ms", "200", "-cpuprofile", cpu, "-memprofile", mem}
+	if err := run(args, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := checkProfile(raw); err != nil {
+			t.Errorf("%s: %v", filepath.Base(path), err)
+		}
+	}
+}
+
+// checkProfile parses a pprof profile down to its top-level protobuf
+// fields and requires sample types (field 1) and a string table (field
+// 6) whose first entry is empty, as the format specifies.
+func checkProfile(raw []byte) error {
+	zr, err := gzip.NewReader(bytes.NewReader(raw))
+	if err != nil {
+		return err
+	}
+	msg, err := io.ReadAll(zr)
+	if err != nil {
+		return err
+	}
+	var sampleTypes, strs int
+	for len(msg) > 0 {
+		key, n := binary.Uvarint(msg)
+		if n <= 0 {
+			return fmt.Errorf("bad field key")
+		}
+		msg = msg[n:]
+		switch key & 7 {
+		case 0:
+			if _, n = binary.Uvarint(msg); n <= 0 {
+				return fmt.Errorf("bad varint in field %d", key>>3)
+			}
+			msg = msg[n:]
+		case 2:
+			l, n := binary.Uvarint(msg)
+			if n <= 0 || uint64(len(msg)-n) < l {
+				return fmt.Errorf("bad length in field %d", key>>3)
+			}
+			switch key >> 3 {
+			case 1:
+				sampleTypes++
+			case 6:
+				if strs == 0 && l != 0 {
+					return fmt.Errorf("string table does not start with the empty string")
+				}
+				strs++
+			}
+			msg = msg[n+int(l):]
+		default:
+			return fmt.Errorf("unexpected wire type %d in field %d", key&7, key>>3)
+		}
+	}
+	if sampleTypes == 0 || strs == 0 {
+		return fmt.Errorf("%d sample types, %d strings", sampleTypes, strs)
+	}
+	return nil
 }

@@ -33,8 +33,8 @@ const (
 )
 
 func packPayload(src, a1, a2 string, val float64) ([]byte, error) {
-	if len(src) > 255 || len(a1) > 255 || len(a2) > 255 {
-		return nil, fmt.Errorf("protocol: string field exceeds 255 bytes")
+	if len(src) > MaxField || len(a1) > MaxField || len(a2) > MaxField {
+		return nil, fmt.Errorf("protocol: string field exceeds %d bytes", MaxField)
 	}
 	out := make([]byte, 0, 3+len(src)+len(a1)+len(a2)+8)
 	for _, s := range []string{src, a1, a2} {
@@ -94,6 +94,13 @@ func encodeFrame(kind, typ byte, seq uint16, t uint64, payload []byte) []byte {
 	body = append(body, payload...)
 	body = binary.BigEndian.AppendUint16(body, CRC16(body))
 	return append([]byte{SOF}, stuff(body)...)
+}
+
+// UnstuffedLen is the length of e's wire frame before byte stuffing:
+// SOF, header, payload and CRC. Stuffing only ever adds bytes, so it is a
+// lower bound on len(EncodeEvent(e)) that costs nothing to compute.
+func UnstuffedLen(e Event) int {
+	return 1 + headerLen + 3 + len(e.Source) + len(e.Arg1) + len(e.Arg2) + 8 + 2
 }
 
 // EncodeEvent serializes an event to its wire frame.

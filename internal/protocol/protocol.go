@@ -29,6 +29,10 @@ const SOF = 0x7E
 // MaxPayload bounds the variable part of one frame.
 const MaxPayload = 1024
 
+// MaxField bounds each string field of a frame (Source, Arg1, Arg2): the
+// payload carries its length in one byte.
+const MaxField = 255
+
 // EventType enumerates target → GDM notifications.
 type EventType uint8
 
@@ -182,19 +186,36 @@ type Instruction struct {
 	Value  float64
 }
 
-// CRC16 computes CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF), the
-// checksum traditionally used on serial debug links.
-func CRC16(data []byte) uint16 {
-	crc := uint16(0xFFFF)
-	for _, b := range data {
-		crc ^= uint16(b) << 8
-		for i := 0; i < 8; i++ {
+// crcPoly is the CRC-16/CCITT-FALSE generator polynomial.
+const crcPoly = 0x1021
+
+// crcTable holds the CRC register update for each value of the byte that
+// leaves its top: entry i is the bit-serial CRC of the byte i shifted
+// through a zero register, so one lookup replaces eight shift/xor steps.
+var crcTable = func() (t [256]uint16) {
+	for i := range t {
+		crc := uint16(i) << 8
+		for range 8 {
 			if crc&0x8000 != 0 {
-				crc = crc<<1 ^ 0x1021
+				crc = crc<<1 ^ crcPoly
 			} else {
 				crc <<= 1
 			}
 		}
+		t[i] = crc
+	}
+	return t
+}()
+
+// CRC16 computes CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF, no
+// reflection, no final xor), the checksum traditionally used on serial
+// debug links. It is table-driven, one lookup per byte; the encoder and
+// the Decoder both use it, and a fuzz test pins it to the bit-serial
+// definition.
+func CRC16(data []byte) uint16 {
+	crc := uint16(0xFFFF)
+	for _, b := range data {
+		crc = crc<<8 ^ crcTable[byte(crc>>8)^b]
 	}
 	return crc
 }

@@ -10,6 +10,17 @@
 // an instrumented target both spends CPU cycles building frames and is
 // throttled by the line rate, whereas the passive JTAG solution touches
 // neither (see internal/jtag).
+//
+// Each direction queues its bytes in flight as a plain byte buffer plus
+// a list of runs. A run is a stretch of consecutive queued bytes whose
+// arrivals are one byte time apart: it is stored as its length and the
+// arrival of its first byte. A send that starts the instant the previous
+// run's last byte lands extends that run, so a saturated line is one run
+// however many frames it holds, and the queue costs one byte of memory
+// per byte in flight. The portable form (LinkState, see state.go) still
+// lists every byte with its own arrival instant; Snapshot expands the
+// runs and Restore regroups them, so checkpoints are unaffected by this
+// representation.
 package serial
 
 import "fmt"
@@ -43,13 +54,17 @@ type Link struct {
 	dirs [2]direction
 }
 
-type inflight struct {
-	b       byte
-	arrival uint64
+// run is n consecutive queued bytes arriving one byte time apart, the
+// first of them at instant first.
+type run struct {
+	n     int
+	first uint64
 }
 
 type direction struct {
-	queue    []inflight
+	buf      []byte // buf[head:] are the bytes in flight, oldest first
+	head     int    // delivered prefix of buf, reclaimed when buf is full
+	runs     []run  // buf[head:] grouped into runs, oldest first
 	rx       []byte
 	lineFree uint64 // time the line becomes free for the next byte
 	stats    Stats
@@ -95,18 +110,43 @@ func (l *Link) Advance(now uint64) {
 	}
 	l.now = now
 	for d := range l.dirs {
-		dir := &l.dirs[d]
-		i := 0
-		for ; i < len(dir.queue); i++ {
-			if dir.queue[i].arrival > now {
-				break
-			}
-			dir.rx = append(dir.rx, dir.queue[i].b)
-			dir.stats.Bytes++
-		}
-		dir.queue = dir.queue[i:]
+		l.dirs[d].deliver(now, l.byteTimeNs)
 	}
 }
+
+// deliver moves the queued bytes that have arrived by now into rx. It
+// stops at the first byte still on the wire, which may be inside a run.
+func (dir *direction) deliver(now, byteTimeNs uint64) {
+	n, done := 0, 0
+	for ; done < len(dir.runs); done++ {
+		r := &dir.runs[done]
+		if r.first > now {
+			break
+		}
+		if last := r.first + uint64(r.n-1)*byteTimeNs; last > now {
+			// Partly arrived: byteTimeNs > 0 here, since last > first.
+			k := int((now-r.first)/byteTimeNs) + 1
+			r.n -= k
+			r.first += uint64(k) * byteTimeNs
+			n += k
+			break
+		}
+		n += r.n
+	}
+	if n == 0 {
+		return
+	}
+	dir.rx = append(dir.rx, dir.buf[dir.head:dir.head+n]...)
+	dir.stats.Bytes += uint64(n)
+	dir.head += n
+	if dir.head == len(dir.buf) {
+		dir.buf, dir.head = dir.buf[:0], 0
+	}
+	dir.runs = dir.runs[:copy(dir.runs, dir.runs[done:])]
+}
+
+// queued is the number of bytes in flight.
+func (dir *direction) queued() int { return len(dir.buf) - dir.head }
 
 // send enqueues data in direction d at the current time. Enqueue is
 // frame-atomic: one Send call is one frame, and a frame that does not fit
@@ -119,22 +159,38 @@ func (l *Link) send(d int, data []byte) {
 		return
 	}
 	dir := &l.dirs[d]
-	if len(dir.queue)+len(data) > l.limit {
+	if dir.queued()+len(data) > l.limit {
 		dir.stats.Dropped += uint64(len(data))
 		dir.stats.Overruns++
 		dir.stats.FramesDropped++
 		return
 	}
-	for _, b := range data {
-		start := dir.lineFree
-		if start < l.now {
-			start = l.now
-		}
-		arrival := start + l.byteTimeNs
-		dir.lineFree = arrival
-		dir.stats.BusyNs += l.byteTimeNs
-		dir.queue = append(dir.queue, inflight{b: b, arrival: arrival})
+	start := max(dir.lineFree, l.now)
+	dir.push(data, start+l.byteTimeNs, l.byteTimeNs)
+	busy := uint64(len(data)) * l.byteTimeNs
+	dir.lineFree = start + busy
+	dir.stats.BusyNs += busy
+}
+
+// push queues data as back-to-back bytes, the first arriving at first,
+// extending the last run when data continues it without a gap. The
+// first >= r.first guard keeps a run from wrapping past the end of the
+// clock, which only a hand-built restored state can reach.
+func (dir *direction) push(data []byte, first, byteTimeNs uint64) {
+	if len(dir.buf)+len(data) > cap(dir.buf) && dir.head >= dir.queued() {
+		// Reclaim the delivered prefix instead of growing the buffer once
+		// it is at least half of it; otherwise append grows the buffer, so
+		// a byte is moved at most once per byte delivered.
+		dir.buf, dir.head = dir.buf[:copy(dir.buf, dir.buf[dir.head:])], 0
 	}
+	dir.buf = append(dir.buf, data...)
+	if k := len(dir.runs) - 1; k >= 0 {
+		if r := &dir.runs[k]; r.first+uint64(r.n)*byteTimeNs == first && first >= r.first {
+			r.n += len(data)
+			return
+		}
+	}
+	dir.runs = append(dir.runs, run{n: len(data), first: first})
 }
 
 // recv drains the received bytes for direction d.
@@ -149,7 +205,7 @@ func (l *Link) recv(d int) []byte {
 func (l *Link) busyUntil(d int) uint64 { return l.dirs[d].lineFree }
 
 // free reports the remaining FIFO space in direction d.
-func (l *Link) free(d int) int { return l.limit - len(l.dirs[d].queue) }
+func (l *Link) free(d int) int { return l.limit - l.dirs[d].queued() }
 
 // Port is one endpoint of the link.
 type Port struct {

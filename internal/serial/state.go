@@ -5,8 +5,9 @@ import (
 	"slices"
 )
 
-// Explicit-state forms of the UART line: the in-flight byte queues (with
-// their arrival instants), the received-but-undrained bytes, the per-
+// Explicit-state forms of the UART line: the in-flight byte queues (one
+// entry per byte with its arrival instant, whatever runs the live link
+// groups them into), the received-but-undrained bytes, the per-
 // direction line-busy horizon and statistics, and the link clock. A
 // checkpoint taken while frames are mid-flight restores with the same
 // bytes landing at the same virtual instants.
@@ -60,10 +61,14 @@ func (l *Link) Snapshot() LinkState {
 	for d := range l.dirs {
 		dir := &l.dirs[d]
 		ds := DirectionState{LineFree: dir.lineFree, Stats: dir.stats}
-		if len(dir.queue) > 0 {
-			ds.Queue = make([]InflightState, len(dir.queue))
-			for i, q := range dir.queue {
-				ds.Queue[i] = InflightState{B: q.b, Arrival: q.arrival}
+		if dir.queued() > 0 {
+			ds.Queue = make([]InflightState, 0, dir.queued())
+			i := dir.head
+			for _, r := range dir.runs {
+				for k := range r.n {
+					ds.Queue = append(ds.Queue, InflightState{B: dir.buf[i], Arrival: r.first + uint64(k)*l.byteTimeNs})
+					i++
+				}
 			}
 		}
 		if len(dir.rx) > 0 {
@@ -76,7 +81,9 @@ func (l *Link) Snapshot() LinkState {
 
 // Restore rewinds the link to a previously captured state. The link must
 // have been created at the same baud rate (the byte time is derived from
-// it).
+// it). Any per-byte queue is accepted, including arrivals that are not
+// one byte time apart: the bytes are regrouped into runs, and Snapshot
+// gives back the same list.
 func (l *Link) Restore(st LinkState) error {
 	if st.Baud != l.baud {
 		return fmt.Errorf("serial: restore of %d-baud state onto %d-baud link", st.Baud, l.baud)
@@ -85,9 +92,9 @@ func (l *Link) Restore(st LinkState) error {
 	for d := range l.dirs {
 		dir := &l.dirs[d]
 		ds := st.Dirs[d]
-		dir.queue = dir.queue[:0]
+		dir.buf, dir.head, dir.runs = dir.buf[:0], 0, dir.runs[:0]
 		for _, q := range ds.Queue {
-			dir.queue = append(dir.queue, inflight{b: q.B, arrival: q.Arrival})
+			dir.push([]byte{q.B}, q.Arrival, l.byteTimeNs)
 		}
 		dir.rx = append(dir.rx[:0], ds.Rx...)
 		dir.lineFree = ds.LineFree

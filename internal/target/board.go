@@ -177,6 +177,10 @@ func NewBoard(name string, prog *codegen.Program, cfg Config, kernel *dtm.Kernel
 	if prog == nil {
 		return nil, fmt.Errorf("target: nil program")
 	}
+	if len(name) > protocol.MaxField {
+		// The name is the Source of every frame the board sends.
+		return nil, fmt.Errorf("target: board name is %d bytes, longer than the %d-byte frame field", len(name), protocol.MaxField)
+	}
 	if cfg.Baud == 0 {
 		cfg.Baud = DefaultBaud
 	}

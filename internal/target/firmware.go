@@ -409,27 +409,31 @@ func (b *Board) sync(now uint64) {
 // The report is held back until the FIFO has room for its exact frame, so
 // the report itself is never the next casualty of the saturation it
 // describes; it runs before the deadline sites emit new signal frames, so
-// a permanently saturated line still gets the counter out.
+// a permanently saturated line still gets the counter out. A FIFO with
+// less room than the frame's unstuffed length cannot take the stuffed
+// frame either, so that case holds the report without encoding it.
 func (b *Board) reportDrops(now uint64) {
 	st := b.portA.Stats()
 	if st.FramesDropped == b.dropsSeen {
 		return
 	}
-	b.seq++
 	ev := protocol.Event{
-		Type: protocol.EvOverrun, Seq: b.seq, Time: now, Source: b.Name,
+		Type: protocol.EvOverrun, Time: now, Source: b.Name,
 		Arg1: "frames", Value: float64(st.FramesDropped),
 	}
+	if b.portA.Free() < protocol.UnstuffedLen(ev) {
+		return
+	}
+	ev.Seq = b.seq + 1
 	wire, err := protocol.EncodeEvent(ev)
 	if err != nil {
-		b.seq--
 		b.fail(err)
 		return
 	}
 	if b.portA.Free() < len(wire) {
-		b.seq-- // hold the report (and its sequence slot) for later
-		return
+		return // hold the report (and its sequence slot) for later
 	}
+	b.seq++
 	b.dropsSeen = st.FramesDropped
 	b.portA.Send(wire)
 }

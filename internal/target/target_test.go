@@ -537,6 +537,29 @@ func TestNewBoardValidation(t *testing.T) {
 	if b.Link.Baud() != DefaultBaud {
 		t.Errorf("default baud = %d", b.Link.Baud())
 	}
+	if _, err := NewBoard(strings.Repeat("n", protocol.MaxField), prog, Config{}, nil); err != nil {
+		t.Errorf("%d-byte name rejected: %v", protocol.MaxField, err)
+	}
+}
+
+// TestOverlongBoardNameRejectedUpFront: a board name longer than a frame
+// field fails in NewBoard. Before the check, the name surfaced only when
+// the first frame failed to encode — and the overrun reporter, which skips
+// the encode when the FIFO is too full for the frame, could hide it.
+func TestOverlongBoardNameRejectedUpFront(t *testing.T) {
+	sys, err := models.TokenRing(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := codegen.Compile(sys, codegen.Options{Instrument: fullInstrument})
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := strings.Repeat("n", protocol.MaxField+1)
+	_, err = NewBoard(name, prog, Config{Bindings: sys.Bindings}, nil)
+	if err == nil || !strings.Contains(err.Error(), "256 bytes") {
+		t.Fatalf("NewBoard with a %d-byte name: err = %v, want a name-length error", len(name), err)
+	}
 }
 
 // TestSaturationReportsDropCounter: when the frame-atomic TX policy drops
