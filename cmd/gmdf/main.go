@@ -36,6 +36,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/farm"
 	"repro/internal/metamodel"
+	"repro/internal/serial"
 	"repro/internal/target"
 	"repro/internal/workbench"
 	"repro/models"
@@ -129,6 +130,7 @@ func run(args []string, out io.Writer) (err error) {
 	campaignOut := fs.String("campaign-out", "", "write the aggregate JSON here (default: stdout)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the whole run here (go tool pprof format)")
 	memProfile := fs.String("memprofile", "", "write a heap profile taken at the end of the run here (go tool pprof format)")
+	stats := fs.Bool("stats", false, "print one end-of-run line: virtual ms per host second, UART bytes sent and frames dropped, TCK cycles, probe ops and events handled")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -187,6 +189,9 @@ func run(args []string, out io.Writer) (err error) {
 		}
 	}
 
+	if *stats && (*campaignN > 0 || *connect != "") {
+		return fmt.Errorf("-stats reports in-process debug sessions; it does not combine with -campaign or -connect")
+	}
 	if *campaignN > 0 {
 		if sc != nil {
 			return fmt.Errorf("-campaign does not support -scenario yet; port the scenario to models.ByName first")
@@ -284,7 +289,7 @@ func run(args []string, out io.Writer) (err error) {
 			cenv = sc.ClusterEnvironment()
 		}
 		ccfg.Board.Backend = be
-		return runCluster(out, sys, ccfg, cenv, budgetNs, *rewindMs, *traceOut, *checkpointOut, *restoreIn, *svgOut)
+		return runCluster(out, sys, ccfg, cenv, budgetNs, *rewindMs, *traceOut, *checkpointOut, *restoreIn, *svgOut, *stats)
 	}
 
 	// Step 5 via the facade (compile + board + channel + session).
@@ -354,6 +359,7 @@ func run(args []string, out io.Writer) (err error) {
 			return err
 		}
 	}
+	runStart, startNs := time.Now(), dbg.Board.Now()
 	if err := dbg.RunNs(budget); err != nil {
 		return err
 	}
@@ -373,6 +379,14 @@ func run(args []string, out io.Writer) (err error) {
 				return err
 			}
 		}
+	}
+	st := runStats{
+		virtNs: dbg.Board.Now() - startNs, host: time.Since(runStart),
+		uart: dbg.Board.Link.PortA().Stats(), tck: dbg.Board.TAP.TCKCount,
+		events: dbg.Session.Handled,
+	}
+	if dbg.Probe != nil {
+		st.probeOps = dbg.Probe.Ops()
 	}
 
 	fmt.Fprintln(out, "== animated model ==")
@@ -417,7 +431,29 @@ func run(args []string, out io.Writer) (err error) {
 		fmt.Fprintf(out, "trace now %d records; board halted=%v cycles=%d\n",
 			dbg.Session.Trace.Len(), dbg.Board.Halted(), dbg.Board.Cycles())
 	}
+	if *stats {
+		fmt.Fprint(out, st)
+	}
 	return nil
+}
+
+// runStats is the -stats end-of-run line: what the run simulated and what
+// it cost the host, counted from the start of the run (after any restore)
+// to the end of the budget — output rendering and rewinds excluded.
+type runStats struct {
+	virtNs   uint64 // virtual time simulated
+	host     time.Duration
+	uart     serial.Stats // target transmit direction, summed over nodes
+	tck      uint64       // passive probe TCK cycles; no probe drives a cluster
+	probeOps uint64
+	events   uint64
+}
+
+func (s runStats) String() string {
+	vms := float64(s.virtNs) / 1e6
+	return fmt.Sprintf("stats: vms=%.3f host-s=%.6f vms-per-host-s=%.0f uart-tx-bytes=%d uart-frames-dropped=%d tck=%d probe-ops=%d events=%d\n",
+		vms, s.host.Seconds(), vms/max(s.host.Seconds(), 1e-9),
+		s.uart.Bytes, s.uart.FramesDropped, s.tck, s.probeOps, s.events)
 }
 
 // campaignOpts is the -campaign mode configuration.
@@ -518,7 +554,7 @@ func parseExec(mode string) (target.ExecMode, error) {
 // models, the scenario's bus declaration for -scenario — and are fixed per
 // invocation so every run of the same model is byte-deterministic (the CI
 // replay jobs diff traces across processes).
-func runCluster(out io.Writer, sys *comdes.System, cfg target.ClusterConfig, env func(now uint64, node string, b *target.Board), budgetNs, rewindMs uint64, traceOut, checkpointOut, restoreIn, svgOut string) error {
+func runCluster(out io.Writer, sys *comdes.System, cfg target.ClusterConfig, env func(now uint64, node string, b *target.Board), budgetNs, rewindMs uint64, traceOut, checkpointOut, restoreIn, svgOut string, stats bool) error {
 	dbg, err := repro.DebugCluster(sys, repro.ClusterDebugConfig{Cluster: cfg, Environment: env})
 	if err != nil {
 		return err
@@ -554,8 +590,15 @@ func runCluster(out io.Writer, sys *comdes.System, cfg target.ClusterConfig, env
 			return err
 		}
 	}
+	runStart, startNs := time.Now(), dbg.Cluster.Now()
 	if err := dbg.RunNs(budgetNs); err != nil {
 		return err
+	}
+	st := runStats{virtNs: dbg.Cluster.Now() - startNs, host: time.Since(runStart), events: dbg.Session.Handled}
+	for _, b := range dbg.Cluster.Boards {
+		tx := b.Link.PortA().Stats()
+		st.uart.Bytes += tx.Bytes
+		st.uart.FramesDropped += tx.FramesDropped
 	}
 
 	fmt.Fprintln(out, "== animated model ==")
@@ -609,6 +652,9 @@ func runCluster(out io.Writer, sys *comdes.System, cfg target.ClusterConfig, env
 		fmt.Fprint(out, dbg.RenderASCII())
 		fmt.Fprintf(out, "trace now %d records; network: %d sent, %d lost\n",
 			dbg.Session.Trace.Len(), dbg.Cluster.Net.Sent, dbg.Cluster.Net.Dropped)
+	}
+	if stats {
+		fmt.Fprint(out, st)
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -79,6 +80,7 @@ func TestBadFlagsReturnError(t *testing.T) {
 		{"-model", "dist", "-ms", "10", "-cluster-exec", "bogus"},
 		{"-model", "dist", "-ms", "10", "-transport", "passive"},
 		{"-model", "dist", "-ms", "10", "-campaign", "4", "-campaign-loss", "bogus"},
+		{"-model", "dist", "-ms", "10", "-campaign", "4", "-stats"},
 	} {
 		if err := run(args, io.Discard); err == nil {
 			t.Fatalf("run(%v) did not fail", args)
@@ -242,4 +244,62 @@ func checkProfile(raw []byte) error {
 		return fmt.Errorf("%d sample types, %d strings", sampleTypes, strs)
 	}
 	return nil
+}
+
+// TestStatsLine: -stats appends exactly one parseable end-of-run line and
+// leaves every other byte of the output as it is without the flag.
+func TestStatsLine(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		// nonzero lists the counters this transport must have moved.
+		nonzero []string
+	}{
+		{"ring active", []string{"-model", "ring", "-transport", "active", "-ms", "300"},
+			[]string{"uart-tx-bytes", "uart-frames-dropped", "events"}},
+		{"heating passive", []string{"-model", "heating", "-transport", "passive", "-ms", "300"},
+			[]string{"tck", "probe-ops", "events"}},
+		{"dist cluster", []string{"-model", "dist", "-ms", "300"},
+			[]string{"uart-tx-bytes", "events"}},
+	} {
+		var plain, withStats bytes.Buffer
+		if err := run(tc.args, &plain); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(append(tc.args, "-stats"), &withStats); err != nil {
+			t.Fatal(err)
+		}
+		body, line, ok := bytes.Cut(withStats.Bytes(), []byte("stats: "))
+		if !ok || !bytes.Equal(body, plain.Bytes()) {
+			t.Fatalf("%s: output with -stats is not the plain output plus one stats line:\n%s", tc.name, withStats.String())
+		}
+		fields := map[string]float64{}
+		for _, kv := range strings.Fields(strings.TrimSuffix(string(line), "\n")) {
+			k, v, ok := strings.Cut(kv, "=")
+			if !ok {
+				t.Fatalf("%s: malformed field %q in %q", tc.name, kv, line)
+			}
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: field %s: %v", tc.name, k, err)
+			}
+			fields[k] = f
+		}
+		for _, k := range []string{"vms", "host-s", "vms-per-host-s", "uart-tx-bytes", "uart-frames-dropped", "tck", "probe-ops", "events"} {
+			if _, ok := fields[k]; !ok {
+				t.Errorf("%s: stats line lacks %s: %q", tc.name, k, line)
+			}
+		}
+		if fields["vms"] != 300 {
+			t.Errorf("%s: vms = %v, want 300", tc.name, fields["vms"])
+		}
+		for _, k := range tc.nonzero {
+			if fields[k] <= 0 {
+				t.Errorf("%s: %s = %v, want > 0", tc.name, k, fields[k])
+			}
+		}
+		if fields["host-s"] > 0 && fields["vms-per-host-s"] <= 0 {
+			t.Errorf("%s: vms-per-host-s = %v", tc.name, fields["vms-per-host-s"])
+		}
+	}
 }

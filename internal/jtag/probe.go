@@ -1,6 +1,7 @@
 package jtag
 
 import (
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"sort"
@@ -10,7 +11,8 @@ import (
 )
 
 // Probe is the host-side JTAG adapter (the USB/PCI dongle in the paper's
-// Fig. 2). It drives the TAP bit by bit and accounts host-side time:
+// Fig. 2). It drives the TAP — navigation one TCK at a time, scan data a
+// register at a time through TAP.Shift — and accounts host-side time:
 // every high-level operation costs one USB transaction latency plus the
 // scan's TCK cycles. Target CPU time is never consumed — that asymmetry
 // is the passive solution's selling point and experiment E7 measures it.
@@ -64,32 +66,31 @@ func (p *Probe) navigate(tms ...bool) {
 func (p *Probe) WriteIR(ir uint8) {
 	// RTI -> Select-DR -> Select-IR -> Capture-IR -> Shift-IR
 	p.navigate(true, true, false, false)
-	for i := 0; i < irLen; i++ {
-		last := i == irLen-1
-		p.tap.Clock(last, ir&(1<<i) != 0) // exit on final bit
-	}
+	p.tap.Shift(uint64(ir), irLen, true) // exit on final bit
 	// Exit1-IR -> Update-IR -> RTI
 	p.navigate(true, false)
 	p.account(4 + irLen + 2)
 }
 
-// scanDR shifts n bits through the current DR from Run-Test/Idle,
-// returning the captured bits (LSB first).
+// scanDR shifts n bits (at most 64) through the current DR from
+// Run-Test/Idle, returning the captured bits (LSB first).
 func (p *Probe) scanDR(out uint64, n int) uint64 {
-	// RTI -> Select-DR -> Capture-DR -> Shift-DR
-	p.navigate(true, false, false)
-	var in uint64
-	for i := 0; i < n; i++ {
-		last := i == n-1
-		bit := p.tap.Clock(last, out&(1<<i) != 0)
-		if bit {
-			in |= 1 << i
-		}
-	}
-	// Exit1-DR -> Update-DR -> RTI
+	p.captureDR(n)
+	in := p.tap.Shift(out, n, true)
+	p.endDR(n)
+	return in
+}
+
+// captureDR clocks Run-Test/Idle -> Select-DR -> Capture-DR and on into
+// Shift-DR, or straight to Exit1-DR for a zero-bit scan, which must not
+// stop in Shift-DR with no bit left to take the exit clock.
+func (p *Probe) captureDR(n int) { p.navigate(true, false, n == 0) }
+
+// endDR clocks Exit1-DR -> Update-DR -> Run-Test/Idle and accounts the
+// whole n-bit scan.
+func (p *Probe) endDR(n int) {
 	p.navigate(true, false)
 	p.account(3 + n + 2)
-	return in
 }
 
 // ReadIDCODE selects the IDCODE register and returns the device id.
@@ -123,16 +124,19 @@ func (p *Probe) ReadBytes(addr uint32, n int) []byte {
 	if n <= 0 {
 		return nil
 	}
+	return p.readInto(make([]byte, 0, (n+7)/8*8), addr, n)
+}
+
+// readInto is ReadBytes (n > 0) into buf's storage, grown only if too
+// small for n rounded up to whole words; it returns the n bytes read.
+func (p *Probe) readInto(buf []byte, addr uint32, n int) []byte {
 	p.setAddr(addr, DbgFlagAutoInc)
 	p.WriteIR(IRDbgData)
-	out := make([]byte, 0, (n+7)/8*8)
+	buf = buf[:0]
 	for got := 0; got < n; got += 8 {
-		w := p.scanDR(0, 64)
-		var buf [8]byte
-		putLeUint64(buf[:], w)
-		out = append(out, buf[:]...)
+		buf = binary.LittleEndian.AppendUint64(buf, p.scanDR(0, 64))
 	}
-	return out[:n]
+	return buf[:n]
 }
 
 // DrivePins forces pin levels through EXTEST (up to 64 pins).
@@ -150,14 +154,12 @@ func (p *Probe) DrivePins(levels []bool) {
 // SamplePins captures the boundary-scan chain (pin levels).
 func (p *Probe) SamplePins(n int) []bool {
 	p.WriteIR(IRSample)
-	// RTI -> Select-DR -> Capture-DR -> Shift-DR
-	p.navigate(true, false, false)
+	p.captureDR(n)
 	out := make([]bool, n)
-	for i := 0; i < n; i++ {
+	for i := range out {
 		out[i] = p.tap.Clock(i == n-1, false)
 	}
-	p.navigate(true, false)
-	p.account(3 + n + 2)
+	p.endDR(n)
 	return out
 }
 
@@ -178,6 +180,7 @@ type Watcher struct {
 	watches []Watch
 	last    map[string]value.Value
 	seq     uint16
+	buf     []byte // Poll's read buffer, reused across watches and polls
 }
 
 // NewWatcher creates an empty watcher over probe.
@@ -263,8 +266,8 @@ func (w *Watcher) Restore(st WatcherState) error {
 func (w *Watcher) Poll(now uint64) []protocol.Event {
 	var evs []protocol.Event
 	for _, watch := range w.watches {
-		raw := w.probe.ReadBytes(watch.Addr, watch.Size)
-		v, err := value.DecodeBytes(watch.Kind, raw)
+		w.buf = w.probe.readInto(w.buf, watch.Addr, watch.Size)
+		v, err := value.DecodeBytes(watch.Kind, w.buf)
 		if err != nil {
 			continue
 		}

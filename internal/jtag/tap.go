@@ -6,12 +6,16 @@
 //
 // The package provides three layers:
 //
-//   - TAP: a bit-accurate 16-state Test Access Port controller with IR/DR
-//     scan chains, the standard BYPASS / IDCODE / SAMPLE / EXTEST
-//     instructions, a boundary-scan register over the board's pins, and a
-//     vendor DEBUG extension (address + data registers) giving the probe
-//     direct RAM access — the mechanism real on-chip debug units
-//     (e.g. ARM EmbeddedICE) expose.
+//   - TAP: a 16-state Test Access Port controller, bit-accurate in its
+//     semantics, with IR/DR scan chains, the standard BYPASS / IDCODE /
+//     SAMPLE / EXTEST instructions, a boundary-scan register over the
+//     board's pins, and a vendor DEBUG extension (address + data
+//     registers) giving the probe direct RAM access — the mechanism real
+//     on-chip debug units (e.g. ARM EmbeddedICE) expose. Clock is one TCK
+//     edge; Shift is the exact equivalent of n Clock calls inside a shift
+//     state, computed per scan rather than per bit, so the simulated probe
+//     pays per transaction while TDO, register contents, TCKCount and
+//     landing state stay what bit stepping would produce.
 //   - Probe: the host-side USB/PCI adapter that drives TCK/TMS/TDI and
 //     accounts for host-side transaction latency. Crucially, none of its
 //     operations consume target CPU cycles.
@@ -21,7 +25,10 @@
 //     value changes become protocol events for the GDM.
 package jtag
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // State is a TAP controller state (IEEE 1149.1 figure 6-1).
 type State uint8
@@ -107,6 +114,16 @@ func (s State) Next(tms bool) State {
 	return TestLogicReset
 }
 
+// nextTab is State.Next tabulated, indexed [state][tms]: Clock's
+// transition is one load instead of a walk through Next's switch.
+var nextTab = func() (tab [16][2]State) {
+	for s := range tab {
+		tab[s][0] = State(s).Next(false)
+		tab[s][1] = State(s).Next(true)
+	}
+	return tab
+}()
+
 // Instruction register encodings (4-bit IR).
 const (
 	IRExtest  uint8 = 0x0
@@ -157,6 +174,10 @@ type TAP struct {
 
 	dbgAddr  uint32
 	dbgFlags uint8
+
+	// xfer is the DBGDATA transfer buffer handed to Memory; owning it
+	// keeps data-register accesses off the heap.
+	xfer [8]byte
 
 	mem  Memory
 	pins Pins
@@ -209,7 +230,7 @@ func (t *TAP) Clock(tms, tdi bool) bool {
 		}
 	}
 
-	next := t.state.Next(tms)
+	next := nextTab[t.state][b2i(tms)]
 	// Entry actions.
 	switch next {
 	case TestLogicReset:
@@ -228,6 +249,68 @@ func (t *TAP) Clock(tms, tdi bool) bool {
 	return tdo
 }
 
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// Shift clocks n TCK edges in Shift-DR or Shift-IR and returns the TDO
+// bits, LSB first. It is exactly n Clock calls: TDI comes from out LSB
+// first, TMS is 1 only on the last edge and only when exit is set, and
+// the register contents, TCKCount and landing state (Exit1-xR on exit,
+// which has no entry action) all match bit stepping. A register of width
+// L shifting n bits is one 128-bit combine-and-split: the register
+// concatenated below the input stream, TDO the low n bits of that, the
+// register the next L — so n > L (BYPASS delaying by one bit) needs no
+// special case. Boundary registers (SAMPLE/EXTEST), calls outside a
+// shift state and n > 64 step Clock instead.
+func (t *TAP) Shift(out uint64, n int, exit bool) uint64 {
+	var reg uint64
+	var width int
+	switch {
+	case n <= 0:
+		return 0
+	case n <= 64 && t.state == ShiftIR:
+		reg, width = uint64(t.irSh), irLen
+	case n <= 64 && t.state == ShiftDR && !t.usesBoundary():
+		reg, width = t.dr, t.drLen
+	default:
+		return t.stepShift(out, n, exit)
+	}
+	// 128-bit stream hi:lo = out<<width | reg.
+	lo := reg | out<<width
+	hi := out >> (64 - width)
+	tdo, rest := lo, hi
+	if n < 64 {
+		tdo &= 1<<n - 1
+		rest = lo>>n | hi<<(64-n)
+	}
+	rest &= 1<<width - 1
+	if t.state == ShiftIR {
+		t.irSh = uint8(rest)
+	} else {
+		t.dr = rest
+	}
+	if exit {
+		t.state = nextTab[t.state][1]
+	}
+	t.TCKCount += uint64(n)
+	return tdo
+}
+
+// stepShift is Shift by bit stepping: the definition Shift must match.
+func (t *TAP) stepShift(out uint64, n int, exit bool) uint64 {
+	var in uint64
+	for i := 0; i < n; i++ {
+		if t.Clock(exit && i == n-1, out>>i&1 != 0) {
+			in |= 1 << i
+		}
+	}
+	return in
+}
+
 func (t *TAP) usesBoundary() bool { return t.ir == IRSample || t.ir == IRExtest }
 
 func (t *TAP) captureDR() {
@@ -242,11 +325,11 @@ func (t *TAP) captureDR() {
 		t.dr = uint64(t.dbgFlags)<<32 | uint64(t.dbgAddr)
 		t.drLen = 40
 	case IRDbgData:
-		var buf [8]byte
+		t.xfer = [8]byte{}
 		if t.mem != nil {
-			t.mem.ReadMem(t.dbgAddr, buf[:])
+			t.mem.ReadMem(t.dbgAddr, t.xfer[:])
 		}
-		t.dr = leUint64(buf[:])
+		t.dr = binary.LittleEndian.Uint64(t.xfer[:])
 		t.drLen = 64
 	case IRSample, IRExtest:
 		if t.pins != nil {
@@ -268,9 +351,8 @@ func (t *TAP) updateDR() {
 		t.dbgFlags = uint8(t.dr >> 32)
 	case IRDbgData:
 		if t.mem != nil && t.dbgFlags&DbgFlagWrite != 0 {
-			var buf [8]byte
-			putLeUint64(buf[:], t.dr)
-			t.mem.WriteMem(t.dbgAddr, buf[:])
+			binary.LittleEndian.PutUint64(t.xfer[:], t.dr)
+			t.mem.WriteMem(t.dbgAddr, t.xfer[:])
 		}
 		if t.dbgFlags&DbgFlagAutoInc != 0 {
 			t.dbgAddr += 8
@@ -279,19 +361,5 @@ func (t *TAP) updateDR() {
 		if t.pins != nil {
 			t.pins.Drive(append([]bool(nil), t.drBits...))
 		}
-	}
-}
-
-func leUint64(p []byte) uint64 {
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(p[i])
-	}
-	return v
-}
-
-func putLeUint64(p []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		p[i] = byte(v >> (8 * i))
 	}
 }
