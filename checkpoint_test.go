@@ -374,14 +374,14 @@ func TestClusterSnapshotRestoresCoherently(t *testing.T) {
 
 	half := build()
 	half.RunUntil(100_050_000) // odd instant: cross-node frames in flight
-	cp, err := checkpoint.CaptureCluster(half)
+	cp, err := checkpoint.Capture(half, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cp = jsonRoundtrip(t, cp)
 
 	fresh := build()
-	if err := checkpoint.ApplyCluster(cp, fresh); err != nil {
+	if err := checkpoint.Apply(cp, fresh, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	fresh.RunUntil(200_000_000)

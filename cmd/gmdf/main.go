@@ -268,9 +268,20 @@ func run(args []string, out io.Writer) (err error) {
 		fmt.Fprintf(out, "wrote %s (%d bytes)\n", *gdmOut, len(data))
 	}
 
+	o := sessionOpts{
+		transport: *transport, budgetNs: budgetNs, rewindMs: *rewindMs,
+		breakMachine: *breakMachine, breakState: *breakState,
+		traceOut: *traceOut, checkpointOut: *checkpointOut, restoreIn: *restoreIn,
+		svgOut: *svgOut, stats: *stats,
+	}
+
 	// A placed multi-node model debugs distributed: one board per node on
 	// a shared clock, cross-node signals on a time-triggered TDMA bus, one
-	// session over every node's active interface.
+	// session over every node's active interface. The bus parameters are
+	// the repro.StandardBus schedule for built-in models, the scenario's
+	// bus declaration for -scenario, and fixed per invocation so every run
+	// of the same model is byte-deterministic (the CI replay jobs diff
+	// traces across processes).
 	if len(sys.Nodes()) > 1 {
 		if *breakMachine != "" || *breakState != "" {
 			return fmt.Errorf("-break-machine/-break-state are not supported on multi-node models yet")
@@ -289,7 +300,14 @@ func run(args []string, out io.Writer) (err error) {
 			cenv = sc.ClusterEnvironment()
 		}
 		ccfg.Board.Backend = be
-		return runCluster(out, sys, ccfg, cenv, budgetNs, *rewindMs, *traceOut, *checkpointOut, *restoreIn, *svgOut, *stats)
+		dbg, err := repro.DebugCluster(sys, repro.ClusterDebugConfig{Cluster: ccfg, Environment: cenv})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "cluster: %v on a %.0f µs TDMA cycle (%.1f%% loss, %.0f µs release jitter)\n",
+			dbg.Cluster.Nodes(), float64(ccfg.Bus.CycleNs())/1000,
+			float64(ccfg.Bus.LossPerMille)/10, float64(ccfg.Bus.JitterNs)/1000)
+		return debugSession(out, &dbg.Core, nil, o)
 	}
 
 	// Step 5 via the facade (compile + board + channel + session).
@@ -311,47 +329,71 @@ func run(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
+	return debugSession(out, &dbg.Core, dbg, o)
+}
+
+// sessionOpts is the in-process debugging configuration.
+type sessionOpts struct {
+	transport                                  string
+	budgetNs, rewindMs                         uint64
+	breakMachine, breakState                   string
+	traceOut, checkpointOut, restoreIn, svgOut string
+	stats                                      bool
+}
+
+// debugSession is the in-process debugging sequence — restore, break,
+// run, render, checkpoint, trace, rewind, stats — shared by both target
+// shapes. bd is the board debugger, nil on a cluster; only the lines the
+// two shapes print differently are split on it.
+func debugSession(out io.Writer, dbg *repro.Core, bd *repro.Debugger, o sessionOpts) error {
+	cl, _ := dbg.Target().(*target.Cluster)
 	// The trace is the session's primary artifact — flush it even when a
 	// later output step fails, so a determinism diff never reads a
 	// truncated file.
 	traceWritten := false
-	if *traceOut != "" {
+	if o.traceOut != "" {
 		defer func() {
 			if !traceWritten {
-				_ = os.WriteFile(*traceOut, []byte(dbg.Session.Trace.FormatStable()), 0o644)
+				_ = os.WriteFile(o.traceOut, []byte(dbg.Session.Trace.FormatStable()), 0o644)
 			}
 		}()
 	}
 
-	if *restoreIn != "" {
-		cp, err := checkpoint.ReadFile(*restoreIn)
+	if o.restoreIn != "" {
+		cp, err := checkpoint.ReadFile(o.restoreIn)
 		if err != nil {
 			return err
 		}
 		if err := dbg.RestoreCheckpoint(cp); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "restored checkpoint: t=%.3f ms, %d trace records carried over\n",
-			float64(dbg.Board.Now())/1e6, dbg.Session.Trace.Len())
+		what := "checkpoint"
+		if cl != nil {
+			what = "cluster checkpoint"
+		}
+		fmt.Fprintf(out, "restored %s: t=%.3f ms, %d trace records carried over\n",
+			what, float64(dbg.Now())/1e6, dbg.Session.Trace.Len())
 	}
 
-	// Optional model-level breakpoint: set -> hit -> step -> clear ->
-	// continue, end to end over the selected command interface. On the
-	// active interface the condition is compiled onto the target-resident
-	// agent (halt at the triggering instruction); passively it falls back
-	// to host-side event filtering (halt after the frame crosses).
-	budget := budgetNs
-	if *breakMachine != "" && *breakState != "" {
-		if err := dbg.BreakOnState("cli", *breakMachine, *breakState); err != nil {
+	// Optional model-level breakpoint (single board only): set -> hit ->
+	// step -> clear -> continue, end to end over the selected command
+	// interface. On the active interface the condition is compiled onto
+	// the target-resident agent (halt at the triggering instruction);
+	// passively it falls back to host-side event filtering (halt after the
+	// frame crosses).
+	budget := o.budgetNs
+	breaking := bd != nil && o.breakMachine != "" && o.breakState != ""
+	if breaking {
+		if err := bd.BreakOnState("cli", o.breakMachine, o.breakState); err != nil {
 			return err
 		}
 		where := "host-side (trace filtering)"
 		if dbg.Session.Breakpoints()[0].OnTarget() {
 			where = "on-target (resident agent)"
 		}
-		fmt.Fprintf(out, "breakpoint: enter %s.%s — armed %s\n", *breakMachine, *breakState, where)
+		fmt.Fprintf(out, "breakpoint: enter %s.%s — armed %s\n", o.breakMachine, o.breakState, where)
 	}
-	if *rewindMs > 0 {
+	if o.rewindMs > 0 {
 		// Periodic checkpoints + input/command logs: the session gains
 		// reverse execution (enabled after breakpoint arming so the initial
 		// checkpoint carries the armed condition).
@@ -359,79 +401,103 @@ func run(args []string, out io.Writer) (err error) {
 			return err
 		}
 	}
-	runStart, startNs := time.Now(), dbg.Board.Now()
+	runStart, startNs := time.Now(), dbg.Now()
 	if err := dbg.RunNs(budget); err != nil {
 		return err
 	}
-	if *breakMachine != "" && dbg.Session.Paused() {
-		fmt.Fprintf(out, "breakpoint hit: target halted at %.3f ms\n", float64(dbg.Board.Now())/1e6)
+	if breaking && dbg.Session.Paused() {
+		fmt.Fprintf(out, "breakpoint hit: target halted at %.3f ms\n", float64(dbg.Now())/1e6)
 		if err := dbg.StepOnTarget(time.Second); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "stepped to next model event at %.3f ms, highlights %v\n",
-			float64(dbg.Board.Now())/1e6, dbg.GDM.HighlightedElements())
+			float64(dbg.Now())/1e6, dbg.GDM.HighlightedElements())
 		if err := dbg.Session.ClearBreakpoint("cli"); err != nil {
 			return err
 		}
 		dbg.Session.Continue()
-		if spent := dbg.Board.Now(); spent < budget {
+		if spent := dbg.Now(); spent < budget {
 			if err := dbg.RunNs(budget - spent); err != nil {
 				return err
 			}
 		}
 	}
-	st := runStats{
-		virtNs: dbg.Board.Now() - startNs, host: time.Since(runStart),
-		uart: dbg.Board.Link.PortA().Stats(), tck: dbg.Board.TAP.TCKCount,
-		events: dbg.Session.Handled,
+	st := runStats{virtNs: dbg.Now() - startNs, host: time.Since(runStart), events: dbg.Session.Handled}
+	t := dbg.Target()
+	for _, node := range t.Nodes() {
+		b := t.Board(node)
+		tx := b.Link.PortA().Stats()
+		st.uart.Bytes += tx.Bytes
+		st.uart.FramesDropped += tx.FramesDropped
+		st.tck += b.TAP.TCKCount
 	}
-	if dbg.Probe != nil {
-		st.probeOps = dbg.Probe.Ops()
+	if bd != nil && bd.Probe != nil {
+		st.probeOps = bd.Probe.Ops()
 	}
 
 	fmt.Fprintln(out, "== animated model ==")
 	fmt.Fprint(out, dbg.RenderASCII())
-	fmt.Fprintf(out, "\ntransport=%s events=%d reactions=%d target-cycles=%d instr-cycles=%d\n",
-		*transport, dbg.Session.Handled, dbg.GDM.Reactions, dbg.Board.Cycles(), dbg.Board.InstrumentationCycles())
-	fmt.Fprintln(out, "\n== timing diagram ==")
+	if cl == nil {
+		fmt.Fprintf(out, "\ntransport=%s events=%d reactions=%d target-cycles=%d instr-cycles=%d\n",
+			o.transport, dbg.Session.Handled, dbg.GDM.Reactions, bd.Board.Cycles(), bd.Board.InstrumentationCycles())
+		fmt.Fprintln(out, "\n== timing diagram ==")
+	} else {
+		fmt.Fprintf(out, "\nevents=%d reactions=%d network: %d sent, %d lost\n",
+			dbg.Session.Handled, dbg.GDM.Reactions, cl.Net.Sent, cl.Net.Dropped)
+		for _, node := range cl.Nodes() {
+			// The ok-bool distinguishes "on the bus, no traffic" (printed,
+			// all zero) from "unknown to the bus" (skipped).
+			bs, ok := cl.BusStats(node)
+			if !ok {
+				continue
+			}
+			fmt.Fprintf(out, "bus[%s]: %d enqueued, %d delivered, %d lost, worst queueing %.0f µs\n",
+				node, bs.Enqueued, bs.Delivered, bs.Dropped, float64(bs.WorstQueueNs)/1000)
+		}
+		fmt.Fprintln(out, "\n== timing diagram (bus track = slot grid) ==")
+	}
 	fmt.Fprint(out, dbg.TimingDiagramASCII(76))
 
-	if *svgOut != "" {
-		if err := os.WriteFile(*svgOut, []byte(dbg.RenderSVG()), 0o644); err != nil {
+	if o.svgOut != "" {
+		if err := os.WriteFile(o.svgOut, []byte(dbg.RenderSVG()), 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "wrote %s\n", *svgOut)
+		fmt.Fprintf(out, "wrote %s\n", o.svgOut)
 	}
-
-	if *checkpointOut != "" {
+	if o.checkpointOut != "" {
 		cp, err := dbg.Checkpoint()
 		if err != nil {
 			return err
 		}
-		if err := cp.WriteFile(*checkpointOut); err != nil {
+		if err := cp.WriteFile(o.checkpointOut); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "wrote checkpoint %s (t=%.3f ms)\n", *checkpointOut, float64(cp.Time)/1e6)
+		fmt.Fprintf(out, "wrote checkpoint %s (t=%.3f ms)\n", o.checkpointOut, float64(cp.Time)/1e6)
 	}
-	if *traceOut != "" {
-		if err := os.WriteFile(*traceOut, []byte(dbg.Session.Trace.FormatStable()), 0o644); err != nil {
+	if o.traceOut != "" {
+		if err := os.WriteFile(o.traceOut, []byte(dbg.Session.Trace.FormatStable()), 0o644); err != nil {
 			return err
 		}
 		traceWritten = true
-		fmt.Fprintf(out, "wrote trace %s (%d records)\n", *traceOut, dbg.Session.Trace.Len())
+		fmt.Fprintf(out, "wrote trace %s (%d records)\n", o.traceOut, dbg.Session.Trace.Len())
 	}
 
-	if *rewindMs > 0 {
-		landed, err := dbg.Session.RewindTo(*rewindMs * 1_000_000)
+	if o.rewindMs > 0 {
+		landed, err := dbg.Session.RewindTo(o.rewindMs * 1_000_000)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "\n== rewound to %.3f ms ==\n", float64(landed)/1e6)
 		fmt.Fprint(out, dbg.RenderASCII())
-		fmt.Fprintf(out, "trace now %d records; board halted=%v cycles=%d\n",
-			dbg.Session.Trace.Len(), dbg.Board.Halted(), dbg.Board.Cycles())
+		if cl == nil {
+			fmt.Fprintf(out, "trace now %d records; board halted=%v cycles=%d\n",
+				dbg.Session.Trace.Len(), bd.Board.Halted(), bd.Board.Cycles())
+		} else {
+			fmt.Fprintf(out, "trace now %d records; network: %d sent, %d lost\n",
+				dbg.Session.Trace.Len(), cl.Net.Sent, cl.Net.Dropped)
+		}
 	}
-	if *stats {
+	if o.stats {
 		fmt.Fprint(out, st)
 	}
 	return nil
@@ -545,118 +611,6 @@ func parseExec(mode string) (target.ExecMode, error) {
 		return target.ExecParallel, nil
 	}
 	return 0, fmt.Errorf("unknown -cluster-exec %q (auto|serial|parallel)", mode)
-}
-
-// runCluster is the distributed debugging path: the placed system boots on
-// a TDMA cluster (the Fig. 6 workflow's target is a network of boards) and
-// the one session's trace carries the slot-grid lane. The bus parameters
-// come from the caller — the repro.StandardBus schedule for built-in
-// models, the scenario's bus declaration for -scenario — and are fixed per
-// invocation so every run of the same model is byte-deterministic (the CI
-// replay jobs diff traces across processes).
-func runCluster(out io.Writer, sys *comdes.System, cfg target.ClusterConfig, env func(now uint64, node string, b *target.Board), budgetNs, rewindMs uint64, traceOut, checkpointOut, restoreIn, svgOut string, stats bool) error {
-	dbg, err := repro.DebugCluster(sys, repro.ClusterDebugConfig{Cluster: cfg, Environment: env})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "cluster: %v on a %.0f µs TDMA cycle (%.1f%% loss, %.0f µs release jitter)\n",
-		dbg.Cluster.Nodes(), float64(cfg.Bus.CycleNs())/1000,
-		float64(cfg.Bus.LossPerMille)/10, float64(cfg.Bus.JitterNs)/1000)
-	traceWritten := false
-	if traceOut != "" {
-		defer func() {
-			if !traceWritten {
-				_ = os.WriteFile(traceOut, []byte(dbg.Session.Trace.FormatStable()), 0o644)
-			}
-		}()
-	}
-
-	if restoreIn != "" {
-		cp, err := checkpoint.ReadFile(restoreIn)
-		if err != nil {
-			return err
-		}
-		if err := dbg.RestoreCheckpoint(cp); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "restored cluster checkpoint: t=%.3f ms, %d trace records carried over\n",
-			float64(dbg.Cluster.Now())/1e6, dbg.Session.Trace.Len())
-	}
-
-	if rewindMs > 0 {
-		// Periodic whole-cluster checkpoints + per-node input/command logs:
-		// the distributed session gains reverse execution.
-		if _, err := dbg.EnableCheckpointing(250 * time.Millisecond); err != nil {
-			return err
-		}
-	}
-	runStart, startNs := time.Now(), dbg.Cluster.Now()
-	if err := dbg.RunNs(budgetNs); err != nil {
-		return err
-	}
-	st := runStats{virtNs: dbg.Cluster.Now() - startNs, host: time.Since(runStart), events: dbg.Session.Handled}
-	for _, b := range dbg.Cluster.Boards {
-		tx := b.Link.PortA().Stats()
-		st.uart.Bytes += tx.Bytes
-		st.uart.FramesDropped += tx.FramesDropped
-	}
-
-	fmt.Fprintln(out, "== animated model ==")
-	fmt.Fprint(out, dbg.RenderASCII())
-	fmt.Fprintf(out, "\nevents=%d reactions=%d network: %d sent, %d lost\n",
-		dbg.Session.Handled, dbg.GDM.Reactions, dbg.Cluster.Net.Sent, dbg.Cluster.Net.Dropped)
-	for _, node := range dbg.Cluster.Nodes() {
-		// The ok-bool distinguishes "on the bus, no traffic" (printed, all
-		// zero) from "unknown to the bus" (skipped) — the old zero-value
-		// check silently conflated the two and hid idle slot owners.
-		st, ok := dbg.BusStats(node)
-		if !ok {
-			continue
-		}
-		fmt.Fprintf(out, "bus[%s]: %d enqueued, %d delivered, %d lost, worst queueing %.0f µs\n",
-			node, st.Enqueued, st.Delivered, st.Dropped, float64(st.WorstQueueNs)/1000)
-	}
-	fmt.Fprintln(out, "\n== timing diagram (bus track = slot grid) ==")
-	fmt.Fprint(out, dbg.TimingDiagramASCII(76))
-
-	if svgOut != "" {
-		if err := os.WriteFile(svgOut, []byte(dbg.GDM.Scene().SVG()), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", svgOut)
-	}
-	if checkpointOut != "" {
-		cp, err := dbg.Checkpoint()
-		if err != nil {
-			return err
-		}
-		if err := cp.WriteFile(checkpointOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote checkpoint %s (t=%.3f ms)\n", checkpointOut, float64(cp.Time)/1e6)
-	}
-	if traceOut != "" {
-		if err := os.WriteFile(traceOut, []byte(dbg.Session.Trace.FormatStable()), 0o644); err != nil {
-			return err
-		}
-		traceWritten = true
-		fmt.Fprintf(out, "wrote trace %s (%d records)\n", traceOut, dbg.Session.Trace.Len())
-	}
-
-	if rewindMs > 0 {
-		landed, err := dbg.Session.RewindTo(rewindMs * 1_000_000)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "\n== rewound to %.3f ms ==\n", float64(landed)/1e6)
-		fmt.Fprint(out, dbg.RenderASCII())
-		fmt.Fprintf(out, "trace now %d records; network: %d sent, %d lost\n",
-			dbg.Session.Trace.Len(), dbg.Cluster.Net.Sent, dbg.Cluster.Net.Dropped)
-	}
-	if stats {
-		fmt.Fprint(out, st)
-	}
-	return nil
 }
 
 // remoteOpts is the -connect mode configuration.

@@ -16,19 +16,24 @@
 // Graphical Debugger Model (internal/core), and animated by the runtime
 // engine (internal/engine) over either the active RS-232 command interface
 // or the passive JTAG watch engine.
+//
+// A board is a one-node system. Debug builds a standalone board and
+// DebugCluster a placed multi-node system on a shared virtual clock, but
+// both embed the same Core: one model pipeline, one session, one run
+// loop, one checkpoint recorder and one set of renderers over a
+// target.Target. Code that drives either kind (the gmdf CLI, the debug
+// farm, the campaign engine) holds a *Core and never asks which one it
+// has, except to print what only one shape has.
 package repro
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/checkpoint"
 	"repro/internal/codegen"
 	"repro/internal/comdes"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/jtag"
-	"repro/internal/metamodel"
 	"repro/internal/protocol"
 	"repro/internal/target"
 	"repro/internal/value"
@@ -102,26 +107,18 @@ func compileOptions(cfg DebugConfig) codegen.Options {
 	return opts
 }
 
-// Debugger bundles one assembled debugging setup.
+// Debugger bundles one assembled debugging setup over a standalone board
+// — the one-node case of a debug target. Everything that does not depend
+// on the target's shape (run loop, checkpoints, rendering) comes from the
+// embedded Core.
 type Debugger struct {
-	Sys     *comdes.System
-	Prog    *codegen.Program
-	Board   *target.Board
-	Meta    *metamodel.Metamodel
-	Model   *metamodel.Model
-	GDM     *core.GDM
-	Session *engine.Session
+	Core
+	Prog  *codegen.Program
+	Board *target.Board
 
 	// Probe is non-nil for passive sessions.
 	Probe   *jtag.Probe
 	Watcher *jtag.Watcher
-
-	// Recorder is non-nil once EnableCheckpointing has run.
-	Recorder *checkpoint.Recorder
-
-	serial   *engine.SerialSource // non-nil for active sessions
-	pollNs   uint64
-	nextPoll uint64
 }
 
 // Debug assembles the full GMDF pipeline for a COMDES system.
@@ -146,35 +143,13 @@ func Debug(sys *comdes.System, cfg DebugConfig) (*Debugger, error) {
 		board.PreLatch = func(now uint64, actor string) { env(now, board) }
 	}
 
-	meta := comdes.Metamodel()
-	model, err := comdes.ToModel(sys, meta)
-	if err != nil {
+	d := &Debugger{Prog: prog, Board: board}
+	if err := d.init(sys, cfg.Mapping, board); err != nil {
 		return nil, err
-	}
-	mapping := cfg.Mapping
-	if mapping == nil {
-		mapping = engine.DefaultCOMDESMapping()
-	}
-	gdm, err := core.Abstract(model, mapping)
-	if err != nil {
-		return nil, err
-	}
-	if err := engine.BindCOMDES(gdm); err != nil {
-		return nil, err
-	}
-
-	session := engine.NewSession(gdm, board)
-	d := &Debugger{
-		Sys: sys, Prog: prog, Board: board, Meta: meta, Model: model,
-		GDM: gdm, Session: session, pollNs: cfg.JTAGPollNs,
-	}
-	if d.pollNs == 0 {
-		d.pollNs = 1_000_000
 	}
 	switch cfg.Transport {
 	case Active:
-		d.serial = engine.NewSerialSource(board.HostPort())
-		session.AddSource(d.serial)
+		d.addSerial(board.Name)
 	case Passive:
 		probe := jtag.NewProbe(board.TAP)
 		probe.Reset()
@@ -182,8 +157,8 @@ func Debug(sys *comdes.System, cfg DebugConfig) (*Debugger, error) {
 		if err := engine.AutoWatches(watcher, prog); err != nil {
 			return nil, err
 		}
-		session.AddSource(&engine.WatcherSource{Watcher: watcher})
-		session.Translate = engine.WatchTranslator(sys)
+		d.Session.AddSource(&engine.WatcherSource{Watcher: watcher})
+		d.Session.Translate = engine.WatchTranslator(sys)
 		d.Probe = probe
 		d.Watcher = watcher
 	default:
@@ -195,88 +170,6 @@ func Debug(sys *comdes.System, cfg DebugConfig) (*Debugger, error) {
 func withBindings(cfg target.Config, sys *comdes.System) target.Config {
 	cfg.Bindings = append(cfg.Bindings, sys.Bindings...)
 	return cfg
-}
-
-// Run advances the target and the debugger for d virtual time, pumping
-// events every millisecond of target time. It returns early when a
-// model-level breakpoint pauses the session.
-func (d *Debugger) Run(dur time.Duration) error {
-	return d.RunNs(uint64(dur.Nanoseconds()))
-}
-
-// RunNs is Run in raw nanoseconds of virtual time.
-func (d *Debugger) RunNs(durNs uint64) error {
-	end := d.Board.Now() + durNs
-	const slice = 1_000_000
-	for d.Board.Now() < end {
-		if d.Session.Paused() {
-			return nil
-		}
-		d.Board.RunFor(slice)
-		if _, err := d.Session.ProcessEvents(d.Board.Now()); err != nil {
-			return err
-		}
-		if d.Recorder != nil {
-			if err := d.Recorder.Observe(d.Board.Now()); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// EnableCheckpointing attaches a checkpoint recorder to the session: an
-// initial checkpoint is taken now and further ones every interval of
-// virtual time, while environment inputs and wire commands are logged.
-// The session gains working RewindTo/ReplayUntil (reverse-step to the
-// last checkpoint, deterministically re-execute forward). Enable after
-// arming standing breakpoints so the initial checkpoint carries them.
-func (d *Debugger) EnableCheckpointing(interval time.Duration) (*checkpoint.Recorder, error) {
-	if d.Recorder != nil {
-		return d.Recorder, nil
-	}
-	rec, err := checkpoint.Attach(d.Board, d.Session, d.serial, uint64(interval.Nanoseconds()))
-	if err != nil {
-		return nil, err
-	}
-	d.Recorder = rec
-	d.Session.AttachRewinder(rec)
-	return rec, nil
-}
-
-// Checkpoint captures the complete execution state — board and host side
-// — as one serializable value (see checkpoint.Checkpoint.WriteFile for
-// the cross-process form).
-func (d *Debugger) Checkpoint() (*checkpoint.Checkpoint, error) {
-	return checkpoint.Capture(d.Board, d.Session, d.serial)
-}
-
-// RestoreCheckpoint rewinds the debugger — board, session trace,
-// breakpoints, command channel — to a checkpoint taken from a debugger
-// built from the same model (this process or another).
-func (d *Debugger) RestoreCheckpoint(cp *checkpoint.Checkpoint) error {
-	return checkpoint.Apply(cp, d.Board, d.Session, d.serial)
-}
-
-// Continue resumes after a breakpoint and keeps running for dur.
-func (d *Debugger) Continue(dur time.Duration) error {
-	d.Session.Continue()
-	return d.Run(dur)
-}
-
-// StepEvent resumes until exactly one model-level event has been handled.
-func (d *Debugger) StepEvent(maxWait time.Duration) error {
-	d.Session.Step()
-	return d.Run(maxWait)
-}
-
-// StepOnTarget asks the target-resident agent to run to the next model
-// event and halt there (InStep over the active interface), then waits for
-// the EvStepped confirmation. Falls back to host-side stepping on
-// passive sessions.
-func (d *Debugger) StepOnTarget(maxWait time.Duration) error {
-	d.Session.StepTarget()
-	return d.Run(maxWait)
 }
 
 // BreakOnState arms a model-level breakpoint on a state entry. Over the
@@ -303,17 +196,6 @@ func (d *Debugger) BreakOnDeadlineMiss(id, actor string) error {
 		return err
 	}
 	return d.Session.SetBreakpoint(engine.MissBreakpoint(id, actor))
-}
-
-// RenderSVG renders the current animated model view.
-func (d *Debugger) RenderSVG() string { return d.GDM.Scene().SVG() }
-
-// RenderASCII renders the current animated model view for terminals.
-func (d *Debugger) RenderASCII() string { return d.GDM.Scene().ASCII(0, 0) }
-
-// TimingDiagramASCII renders the recorded trace as a timing diagram.
-func (d *Debugger) TimingDiagramASCII(width int) string {
-	return d.Session.Trace.TimingDiagram().ASCII(width)
 }
 
 // WriteInput injects a value on an actor input (manual stimulus).

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro"
-	"repro/internal/checkpoint"
 	"repro/internal/codegen"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -44,30 +43,33 @@ func Run(spec Spec) (*Aggregate, error) {
 	// Build the coordinator instance, warm it, capture the shared base
 	// checkpoint. The coordinator then serves as worker 0's runner.
 	arena := &trace.Arena{}
+	var prog *codegen.Program
+	if !clustered {
+		if prog, err = repro.CompileFor(sys, boardConfig(spec.Model)); err != nil {
+			return nil, err
+		}
+	}
+	coord, err := newRunner(&spec, prog, nil, arena)
+	if err != nil {
+		return nil, err
+	}
+	if spec.WarmNs > 0 {
+		if err := coord.dbg.RunNs(spec.WarmNs); err != nil {
+			return nil, fmt.Errorf("campaign: warm-up: %w", err)
+		}
+	}
+	base, err := coord.dbg.Checkpoint()
+	if err != nil {
+		return nil, fmt.Errorf("campaign: base checkpoint: %w", err)
+	}
+	coord.base = base
+
 	var (
-		prog      *codegen.Program
-		base      *checkpoint.Checkpoint
-		coord     runner
 		taskNames []string
 		basePrios []int
 		slots     int
 	)
 	if clustered {
-		cr, err := newClusterRunner(&spec, nil, arena)
-		if err != nil {
-			return nil, err
-		}
-		if spec.WarmNs > 0 {
-			if err := cr.cdbg.RunNs(spec.WarmNs); err != nil {
-				return nil, fmt.Errorf("campaign: warm-up: %w", err)
-			}
-		}
-		base, err = cr.cdbg.Checkpoint()
-		if err != nil {
-			return nil, fmt.Errorf("campaign: base checkpoint: %w", err)
-		}
-		cr.base = base
-		coord = cr
 		bus := base.Cluster.Net.Sched
 		if bus == nil {
 			return nil, fmt.Errorf("campaign: model %q has no TDMA schedule; bus campaigns need one", spec.Model)
@@ -85,31 +87,7 @@ func Run(spec Spec) (*Aggregate, error) {
 			}
 		}
 	} else {
-		cfg := repro.DebugConfig{
-			Transport:   repro.Active,
-			Board:       repro.StandardBoardConfig(spec.Model),
-			Environment: repro.StandardEnvironment(spec.Model),
-		}
-		prog, err = repro.CompileFor(sys, cfg)
-		if err != nil {
-			return nil, err
-		}
-		br, err := newBoardRunner(&spec, prog, nil, arena)
-		if err != nil {
-			return nil, err
-		}
-		if spec.WarmNs > 0 {
-			if err := br.dbg.RunNs(spec.WarmNs); err != nil {
-				return nil, fmt.Errorf("campaign: warm-up: %w", err)
-			}
-		}
-		base, err = br.dbg.Checkpoint()
-		if err != nil {
-			return nil, fmt.Errorf("campaign: base checkpoint: %w", err)
-		}
-		br.base = base
-		coord = br
-		for _, t := range br.dbg.Board.Tasks() {
+		for _, t := range coord.kind.(*boardKind).board.Tasks() {
 			taskNames = append(taskNames, t.Name)
 			basePrios = append(basePrios, t.Priority)
 		}
@@ -125,16 +103,12 @@ func Run(spec Spec) (*Aggregate, error) {
 	// One warm simulator per worker, built lazily on the worker's first
 	// variant. Each slot is touched only by its own worker, so the slices
 	// need no lock.
-	runners := make([]runner, pool.Workers())
+	runners := make([]*runner, pool.Workers())
 	buildErr := make([]error, pool.Workers())
 	runners[0] = coord
-	getRunner := func(w int) (runner, error) {
+	getRunner := func(w int) (*runner, error) {
 		if runners[w] == nil && buildErr[w] == nil {
-			if clustered {
-				runners[w], buildErr[w] = newClusterRunner(&spec, base, arena)
-			} else {
-				runners[w], buildErr[w] = newBoardRunner(&spec, prog, base, arena)
-			}
+			runners[w], buildErr[w] = newRunner(&spec, prog, base, arena)
 		}
 		return runners[w], buildErr[w]
 	}
@@ -183,17 +157,17 @@ func Run(spec Spec) (*Aggregate, error) {
 }
 
 // runVariant is one fork-run-observe cycle.
-func runVariant(r runner, spec *Spec, v variant) VariantResult {
+func runVariant(r *runner, spec *Spec, v variant) VariantResult {
 	fail := func(err error) VariantResult {
 		return VariantResult{Index: v.Index, Seed: v.Seed, Error: err.Error()}
 	}
 	if err := r.fork(v); err != nil {
 		return fail(err)
 	}
-	if err := r.run(spec.RunNs); err != nil {
+	if err := r.dbg.RunNs(spec.RunNs); err != nil {
 		return fail(err)
 	}
-	res, err := r.observe(v)
+	res, err := r.kind.observe(v)
 	if err != nil {
 		return fail(err)
 	}

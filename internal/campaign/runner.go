@@ -8,6 +8,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/codegen"
 	"repro/internal/dtm"
+	"repro/internal/engine"
 	"repro/internal/target"
 	"repro/internal/trace"
 	"repro/models"
@@ -15,17 +16,92 @@ import (
 
 // runner is one worker's warm simulator instance: built once, then
 // rewound to a fresh fork of the base checkpoint for every variant it
-// executes. Instances are never shared between workers.
-type runner interface {
-	// fork rewinds the instance to the base checkpoint with the variant's
-	// parameters applied and a fresh (arena-backed) trace installed.
-	fork(v variant) error
-	// run advances ns of virtual time post-fork.
-	run(ns uint64) error
+// executes. Instances are never shared between workers. Board and
+// cluster campaigns run the same fork/run/observe cycle; only the
+// variant's parameters and the observation differ, and those are the
+// kind's.
+type runner struct {
+	dbg      *repro.Core
+	kind     kind
+	base     *checkpoint.Checkpoint
+	arena    *trace.Arena
+	progName string // the session trace's program label
+}
+
+// kind is what a campaign varies and observes on its target shape.
+type kind interface {
+	// prepare turns cp, a fresh clone of the base checkpoint, into the
+	// variant's starting state: it clears the accounting and the warm
+	// trace the variant must not inherit and installs the variant's
+	// parameters on the target and in cp.
+	prepare(cp *checkpoint.Checkpoint, v variant) error
 	// observe evaluates the variant's post-fork observations.
 	observe(v variant) (VariantResult, error)
-	// traceText renders the events collected since the last fork.
-	traceText() string
+}
+
+// newRunner builds a warm-able instance of the spec's model: a placed
+// multi-node model on a serial-mode TDMA cluster (campaign parallelism is
+// across variants, not within one), anything else on one board. prog is
+// the shared single-board program (nil for clusters).
+func newRunner(spec *Spec, prog *codegen.Program, base *checkpoint.Checkpoint, arena *trace.Arena) (*runner, error) {
+	sys, err := models.ByName(spec.Model)
+	if err != nil {
+		return nil, err
+	}
+	r := &runner{base: base, arena: arena}
+	if len(sys.Nodes()) >= 2 {
+		cdbg, err := repro.DebugCluster(sys, repro.ClusterDebugConfig{
+			Cluster: repro.StandardClusterConfig(sys.Nodes(), target.ExecSerial),
+		})
+		if err != nil {
+			return nil, err
+		}
+		r.dbg = &cdbg.Core
+		r.kind = &busKind{spec: spec, cl: cdbg.Cluster, nodes: cdbg.Cluster.Nodes()}
+	} else {
+		cfg := boardConfig(spec.Model)
+		cfg.Program = prog
+		dbg, err := repro.Debug(sys, cfg)
+		if err != nil {
+			return nil, err
+		}
+		r.dbg = &dbg.Core
+		r.kind = &boardKind{spec: spec, board: dbg.Board, fixed: cfg.Board.Sched == dtm.FixedPriority}
+	}
+	r.progName = r.dbg.Session.Trace.Program
+	return r, nil
+}
+
+// boardConfig is the single-board campaign configuration for model.
+func boardConfig(model string) repro.DebugConfig {
+	return repro.DebugConfig{
+		Transport:   repro.Active,
+		Board:       repro.StandardBoardConfig(model),
+		Environment: repro.StandardEnvironment(model),
+	}
+}
+
+// fork rewinds the instance to the base checkpoint with the variant's
+// parameters applied and a fresh (arena-backed) trace installed.
+func (r *runner) fork(v variant) error {
+	cp := r.base.Clone()
+	if err := r.kind.prepare(cp, v); err != nil {
+		return err
+	}
+	r.arena.Recycle(r.dbg.Session.Trace)
+	if err := r.dbg.RestoreCheckpoint(cp); err != nil {
+		return err
+	}
+	r.dbg.Session.Trace = r.arena.NewTrace(r.progName)
+	return nil
+}
+
+// dropWarmTrace drops the warm trace from a checkpoint's host session:
+// the restore would replay it through the GDM, and the variant's
+// observations start at the fork.
+func dropWarmTrace(s *engine.SessionState) {
+	s.Trace = nil
+	s.Handled = 0
 }
 
 // zeroTaskAccounting clears the accounting fields of a cloned scheduler
@@ -51,116 +127,52 @@ func zeroBusAccounting(st *dtm.NetworkState) {
 	}
 }
 
-// boardRunner drives single-board variants (priority-assignment sweeps).
-type boardRunner struct {
-	spec     *Spec
-	dbg      *repro.Debugger
-	base     *checkpoint.Checkpoint
-	arena    *trace.Arena
-	progName string // the session trace's program label
-	fixed    bool   // FixedPriority policy: run RTA per variant
+// boardKind varies single-board variants (priority-assignment sweeps).
+type boardKind struct {
+	spec  *Spec
+	board *target.Board
+	fixed bool // FixedPriority policy: run RTA per variant
 }
 
-func newBoardRunner(spec *Spec, prog *codegen.Program, base *checkpoint.Checkpoint, arena *trace.Arena) (*boardRunner, error) {
-	sys, err := models.ByName(spec.Model)
-	if err != nil {
-		return nil, err
-	}
-	cfg := repro.DebugConfig{
-		Transport:   repro.Active,
-		Board:       repro.StandardBoardConfig(spec.Model),
-		Environment: repro.StandardEnvironment(spec.Model),
-		Program:     prog,
-	}
-	dbg, err := repro.Debug(sys, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &boardRunner{
-		spec: spec, dbg: dbg, base: base, arena: arena,
-		progName: dbg.Session.Trace.Program,
-		fixed:    cfg.Board.Sched == dtm.FixedPriority,
-	}, nil
-}
-
-func (r *boardRunner) fork(v variant) error {
-	cp := r.base.Clone()
+func (k *boardKind) prepare(cp *checkpoint.Checkpoint, v variant) error {
 	zeroTaskAccounting(cp.Board.Sched.Tasks)
 	if cp.Host != nil {
-		// Drop the warm trace: the restore would replay it through the
-		// GDM, and the variant's observations start at the fork.
-		cp.Host.Session.Trace = nil
-		cp.Host.Session.Handled = 0
+		dropWarmTrace(&cp.Host.Session)
 	}
 	// Priorities are code-level (task registration), not checkpoint
 	// state: apply the permutation before the restore so the rebuilt
 	// ready queue orders under the variant's assignment.
 	if v.Prios != nil {
-		for _, t := range r.dbg.Board.Tasks() {
+		for _, t := range k.board.Tasks() {
 			if p, ok := v.Prios[t.Name]; ok {
 				t.Priority = p
 			}
 		}
 	}
-	r.arena.Recycle(r.dbg.Session.Trace)
-	if err := r.dbg.RestoreCheckpoint(cp); err != nil {
-		return err
-	}
-	r.dbg.Session.Trace = r.arena.NewTrace(r.progName)
 	return nil
 }
 
-func (r *boardRunner) run(ns uint64) error { return r.dbg.RunNs(ns) }
-
-func (r *boardRunner) observe(v variant) (VariantResult, error) {
+func (k *boardKind) observe(v variant) (VariantResult, error) {
 	res := VariantResult{Index: v.Index, Seed: v.Seed, Prios: v.Prios}
 	var rta []dtm.RTAResult
-	if r.fixed {
+	if k.fixed {
 		var err error
-		rta, err = r.dbg.Board.ResponseTimeAnalysis()
+		rta, err = k.board.ResponseTimeAnalysis()
 		if err != nil {
 			return res, fmt.Errorf("rta: %w", err)
 		}
 	}
-	res.Tasks = observeTasks("", r.dbg.Board.Tasks(), rta)
-	res.Violations = violations(r.spec, res.Tasks, 0)
+	res.Tasks = observeTasks("", k.board.Tasks(), rta)
+	res.Violations = violations(k.spec, res.Tasks, 0)
 	return res, nil
 }
 
-func (r *boardRunner) traceText() string { return r.dbg.Session.Trace.FormatStable() }
-
-// clusterRunner drives distributed variants (bus seed / loss / jitter /
-// slot-rotation sweeps) in serial execution mode: campaign parallelism is
-// across variants, not within one.
-type clusterRunner struct {
-	spec     *Spec
-	cdbg     *repro.ClusterDebugger
-	base     *checkpoint.Checkpoint
-	arena    *trace.Arena
-	progName string
-	nodes    []string
-}
-
-func newClusterRunner(spec *Spec, base *checkpoint.Checkpoint, arena *trace.Arena) (*clusterRunner, error) {
-	cdbg, err := buildCluster(spec)
-	if err != nil {
-		return nil, err
-	}
-	return &clusterRunner{
-		spec: spec, cdbg: cdbg, base: base, arena: arena,
-		progName: cdbg.Session.Trace.Program,
-		nodes:    cdbg.Cluster.Nodes(),
-	}, nil
-}
-
-func buildCluster(spec *Spec) (*repro.ClusterDebugger, error) {
-	sys, err := models.ByName(spec.Model)
-	if err != nil {
-		return nil, err
-	}
-	return repro.DebugCluster(sys, repro.ClusterDebugConfig{
-		Cluster: repro.StandardClusterConfig(sys.Nodes(), target.ExecSerial),
-	})
+// busKind varies distributed variants (bus seed / loss / jitter /
+// slot-rotation sweeps).
+type busKind struct {
+	spec  *Spec
+	cl    *target.Cluster
+	nodes []string
 }
 
 // variantSchedule derives the variant's TDMA schedule from the base one.
@@ -182,15 +194,13 @@ func variantSchedule(base *dtm.BusSchedule, v variant) *dtm.BusSchedule {
 	return s
 }
 
-func (r *clusterRunner) fork(v variant) error {
-	cp := r.base.Clone()
+func (k *busKind) prepare(cp *checkpoint.Checkpoint, v variant) error {
 	for _, bs := range cp.Cluster.Boards {
 		zeroTaskAccounting(bs.Sched.Tasks)
 	}
 	zeroBusAccounting(&cp.Cluster.Net)
 	if cp.ClusterHost != nil {
-		cp.ClusterHost.Session.Trace = nil
-		cp.ClusterHost.Session.Handled = 0
+		dropWarmTrace(&cp.ClusterHost.Session)
 	}
 	// Re-parameterise the bus: the variant schedule replaces the installed
 	// one (SetSchedule restarts the jitter/loss RNG on the variant seed),
@@ -198,25 +208,17 @@ func (r *clusterRunner) fork(v variant) error {
 	// schedule-identity check passes, and the clone's RNG state is pinned
 	// to the variant stream (Network.Restore would otherwise rewind it to
 	// the warm-up's position).
-	sched := variantSchedule(r.base.Cluster.Net.Sched, v)
+	sched := variantSchedule(cp.Cluster.Net.Sched, v)
 	cp.Cluster.Net.Sched = sched
 	cp.Cluster.Net.RNG = v.Seed
-	net := r.cdbg.Cluster.Net
-	net.DropInflight()
-	if err := net.SetSchedule(sched); err != nil {
+	k.cl.Net.DropInflight()
+	if err := k.cl.Net.SetSchedule(sched); err != nil {
 		return fmt.Errorf("variant %d schedule: %w", v.Index, err)
 	}
-	r.arena.Recycle(r.cdbg.Session.Trace)
-	if err := r.cdbg.RestoreCheckpoint(cp); err != nil {
-		return err
-	}
-	r.cdbg.Session.Trace = r.arena.NewTrace(r.progName)
 	return nil
 }
 
-func (r *clusterRunner) run(ns uint64) error { return r.cdbg.RunNs(ns) }
-
-func (r *clusterRunner) observe(v variant) (VariantResult, error) {
+func (k *busKind) observe(v variant) (VariantResult, error) {
 	res := VariantResult{Index: v.Index, Seed: v.Seed, Rotation: v.Rotation}
 	if v.HasLoss {
 		res.Loss = v.Loss
@@ -227,9 +229,9 @@ func (r *clusterRunner) observe(v variant) (VariantResult, error) {
 	var obs []TaskObs
 	res.Bus = map[string]dtm.BusStats{}
 	var drops uint64
-	for _, node := range r.nodes {
-		obs = append(obs, observeTasks(node, r.cdbg.Cluster.Boards[node].Tasks(), nil)...)
-		if bs, ok := r.cdbg.BusStats(node); ok {
+	for _, node := range k.nodes {
+		obs = append(obs, observeTasks(node, k.cl.Boards[node].Tasks(), nil)...)
+		if bs, ok := k.cl.BusStats(node); ok {
 			res.Bus[node] = bs
 			drops += bs.Dropped
 		}
@@ -242,8 +244,6 @@ func (r *clusterRunner) observe(v variant) (VariantResult, error) {
 	})
 	res.Tasks = obs
 	res.Drops = drops
-	res.Violations = violations(r.spec, res.Tasks, drops)
+	res.Violations = violations(k.spec, res.Tasks, drops)
 	return res, nil
 }
-
-func (r *clusterRunner) traceText() string { return r.cdbg.Session.Trace.FormatStable() }

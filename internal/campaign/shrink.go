@@ -14,16 +14,16 @@ const shrinkGrid = 1_000_000
 // shrinkVariant finds the minimal violating window for v and returns it
 // with the window's event trace. The caller guarantees the full RunNs
 // window violates.
-func shrinkVariant(r runner, spec *Spec, v variant) (uint64, string, error) {
+func shrinkVariant(r *runner, spec *Spec, v variant) (uint64, string, error) {
 	window := func(k uint64) uint64 { return min(k*shrinkGrid, spec.RunNs) }
 	probe := func(k uint64) (bool, error) {
 		if err := r.fork(v); err != nil {
 			return false, err
 		}
-		if err := r.run(window(k)); err != nil {
+		if err := r.dbg.RunNs(window(k)); err != nil {
 			return false, err
 		}
-		res, err := r.observe(v)
+		res, err := r.kind.observe(v)
 		if err != nil {
 			return false, err
 		}
@@ -50,5 +50,5 @@ func shrinkVariant(r runner, spec *Spec, v variant) (uint64, string, error) {
 	if _, err := probe(lo); err != nil {
 		return 0, "", err
 	}
-	return window(lo), r.traceText(), nil
+	return window(lo), r.dbg.Session.Trace.FormatStable(), nil
 }

@@ -2,22 +2,30 @@
 // layers into checkpoint-replay debugging: the paper's DTM workflow wants
 // to revisit the moment a timing anomaly occurred, but long runs were
 // one-shot — once the virtual clock passed a deadline miss, the only
-// recourse was a full rerun. A Checkpoint composes a board (or cluster)
-// snapshot with the host-side session state into one serializable value;
-// a Recorder takes them periodically while logging the non-deterministic
-// inputs (environment writes, host wire commands), so a session can
-// reverse-step to the last checkpoint and deterministically re-execute
-// forward to any instant (engine.Session.RewindTo / ReplayUntil).
+// recourse was a full rerun.
+//
+// It works over any debug target (target.Target): a standalone board is
+// the one-node case of a cluster, and one code path serves both. A
+// Checkpoint composes the target's snapshot with the host-side session
+// state into one serializable value; Capture and Apply are the only
+// places that tell the two serialized forms apart (Board/Host for a
+// board, Cluster/ClusterHost for a cluster). One Recorder takes
+// checkpoints periodically while logging the non-deterministic inputs
+// (environment writes, host wire commands) of every node, so a session
+// can reverse-step to the last checkpoint and deterministically
+// re-execute forward to any instant (engine.Session.RewindTo /
+// ReplayUntil).
 //
 // Determinism contract: everything below the host is a pure function of
 // the restored state — the kernel replays pending events in their original
 // sequence positions, the VM machines resume at exact instruction
-// boundaries, and the UART delivers the same bytes at the same instants.
-// The two inputs that are NOT functions of board state are captured in the
-// Recorder's logs: WriteInput stimuli (the environment/plant path) and
-// instructions the host sends over the wire. Host-side interactive actions
-// that never touch the wire (host-side Step on a passive session) are
-// outside the replay contract.
+// boundaries, the UART delivers the same bytes at the same instants, and
+// on a cluster the bus draws jitter and loss from the restored network
+// RNG. The two inputs that are NOT functions of target state are captured
+// in the Recorder's logs: WriteInput stimuli (the environment/plant path)
+// and instructions the host sends over the wire. Host-side interactive
+// actions that never touch the wire (host-side Step on a passive session)
+// are outside the replay contract.
 package checkpoint
 
 import (
@@ -170,102 +178,98 @@ func ReadFile(path string) (*Checkpoint, error) {
 	return Decode(f)
 }
 
-// Capture snapshots a standalone board plus the host session attached to
-// it. src may be nil for passive sessions (no command channel state).
-func Capture(b *target.Board, s *engine.Session, src *engine.SerialSource) (*Checkpoint, error) {
-	bs, err := b.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	cp := &Checkpoint{Version: Version, Time: b.Now(), Board: bs}
-	if s != nil {
-		host := &HostState{Session: s.Snapshot()}
-		if src != nil {
-			ss := src.Snapshot()
-			host.Serial = &ss
+// Capture snapshots a debug target plus the host session attached to it.
+// A standalone board takes the Board/Host form, a cluster the
+// Cluster/ClusterHost form; this and Apply are the only places the two
+// forms are told apart. s may be nil (target state only); serials maps
+// node name -> that node's command channel and may be nil or partial
+// (passive nodes have none).
+func Capture(t target.Target, s *engine.Session, serials map[string]*engine.SerialSource) (*Checkpoint, error) {
+	cp := &Checkpoint{Version: Version, Time: t.Now()}
+	switch t := t.(type) {
+	case *target.Board:
+		bs, err := t.Snapshot()
+		if err != nil {
+			return nil, err
 		}
-		cp.Host = host
+		cp.Board = bs
+		if s != nil {
+			host := &HostState{Session: s.Snapshot()}
+			if src := serials[t.Name]; src != nil {
+				ss := src.Snapshot()
+				host.Serial = &ss
+			}
+			cp.Host = host
+		}
+	case *target.Cluster:
+		cs, err := t.Snapshot()
+		if err != nil {
+			return nil, err
+		}
+		cp.Cluster = cs
+		if s != nil {
+			host := &ClusterHostState{Session: s.Snapshot()}
+			if len(serials) > 0 {
+				host.Serials = make(map[string]engine.SerialSourceState, len(serials))
+				for node, src := range serials {
+					host.Serials[node] = src.Snapshot()
+				}
+			}
+			cp.ClusterHost = host
+		}
+	default:
+		return nil, fmt.Errorf("checkpoint: unsupported target %T", t)
 	}
 	return cp, nil
 }
 
-// CaptureCluster snapshots a whole cluster (no host session — cluster
-// debugging sessions attach per node; callers snapshot those separately).
-func CaptureCluster(c *target.Cluster) (*Checkpoint, error) {
-	cs, err := c.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	return &Checkpoint{Version: Version, Time: c.Now(), Cluster: cs}, nil
-}
-
-// CaptureClusterSession snapshots a cluster together with the one host
-// session debugging it and the per-node serial command channels — the
-// distributed form of Capture. srcs may be nil or partial (passive nodes
-// have no command channel).
-func CaptureClusterSession(c *target.Cluster, s *engine.Session, srcs map[string]*engine.SerialSource) (*Checkpoint, error) {
-	cp, err := CaptureCluster(c)
-	if err != nil {
-		return nil, err
-	}
-	if s != nil {
-		host := &ClusterHostState{Session: s.Snapshot()}
-		if len(srcs) > 0 {
-			host.Serials = make(map[string]engine.SerialSourceState, len(srcs))
-			for node, src := range srcs {
-				host.Serials[node] = src.Snapshot()
-			}
+// Apply restores a checkpoint onto a target built from the same system
+// (possibly in a fresh process) and rewinds the attached host session and
+// command channels alongside it. The checkpoint's form must match the
+// target's shape: a board checkpoint restores onto a board, a cluster
+// checkpoint onto a cluster with the same node set.
+func Apply(cp *Checkpoint, t target.Target, s *engine.Session, serials map[string]*engine.SerialSource) error {
+	var (
+		session *engine.SessionState
+		chans   map[string]engine.SerialSourceState
+	)
+	switch t := t.(type) {
+	case *target.Board:
+		if cp.Board == nil {
+			return fmt.Errorf("checkpoint: no board state (cluster checkpoint?)")
 		}
-		cp.ClusterHost = host
-	}
-	return cp, nil
-}
-
-// ApplyClusterSession restores a distributed checkpoint onto a cluster
-// built from the same system (possibly in a fresh process), rewinding the
-// attached host session and per-node command channels alongside it.
-func ApplyClusterSession(cp *Checkpoint, c *target.Cluster, s *engine.Session, srcs map[string]*engine.SerialSource) error {
-	if err := ApplyCluster(cp, c); err != nil {
-		return err
-	}
-	if cp.ClusterHost != nil && s != nil {
-		if err := s.Restore(cp.ClusterHost.Session); err != nil {
+		if err := t.Restore(cp.Board); err != nil {
 			return err
 		}
-		for node, st := range cp.ClusterHost.Serials {
-			if src, ok := srcs[node]; ok {
-				src.Restore(st)
+		if cp.Host != nil {
+			session = &cp.Host.Session
+			if cp.Host.Serial != nil {
+				chans = map[string]engine.SerialSourceState{t.Name: *cp.Host.Serial}
 			}
+		}
+	case *target.Cluster:
+		if cp.Cluster == nil {
+			return fmt.Errorf("checkpoint: no cluster state")
+		}
+		if err := t.Restore(cp.Cluster); err != nil {
+			return err
+		}
+		if cp.ClusterHost != nil {
+			session, chans = &cp.ClusterHost.Session, cp.ClusterHost.Serials
+		}
+	default:
+		return fmt.Errorf("checkpoint: unsupported target %T", t)
+	}
+	if session == nil || s == nil {
+		return nil
+	}
+	if err := s.Restore(*session); err != nil {
+		return err
+	}
+	for node, st := range chans {
+		if src := serials[node]; src != nil {
+			src.Restore(st)
 		}
 	}
 	return nil
-}
-
-// Apply restores a board checkpoint onto a board built from the same
-// program (possibly in a fresh process) and rewinds the attached host
-// session alongside it.
-func Apply(cp *Checkpoint, b *target.Board, s *engine.Session, src *engine.SerialSource) error {
-	if cp.Board == nil {
-		return fmt.Errorf("checkpoint: no board state (cluster checkpoint? use ApplyCluster)")
-	}
-	if err := b.Restore(cp.Board); err != nil {
-		return err
-	}
-	if cp.Host != nil && s != nil {
-		if err := s.Restore(cp.Host.Session); err != nil {
-			return err
-		}
-		if cp.Host.Serial != nil && src != nil {
-			src.Restore(*cp.Host.Serial)
-		}
-	}
-	return nil
-}
-
-// ApplyCluster restores a cluster checkpoint.
-func ApplyCluster(cp *Checkpoint, c *target.Cluster) error {
-	if cp.Cluster == nil {
-		return fmt.Errorf("checkpoint: no cluster state")
-	}
-	return c.Restore(cp.Cluster)
 }

@@ -27,22 +27,33 @@ type InputRecord struct {
 	Val   value.Encoded `json:"val"`
 }
 
-// InstrRecord is one logged host-to-target wire instruction.
+// InstrRecord is one logged host-to-target wire instruction on a named
+// node's command channel.
 type InstrRecord struct {
-	At uint64               `json:"at"`
-	In protocol.Instruction `json:"in"`
+	At   uint64               `json:"at"`
+	Node string               `json:"node"`
+	In   protocol.Instruction `json:"in"`
 }
 
-// Recorder implements record-and-revisit debugging over one board: it
-// takes periodic checkpoints while logging the two non-deterministic
-// input streams (environment WriteInputs and host wire instructions), and
-// replays them during RewindTo/ReplayUntil so re-execution from a
-// checkpoint reproduces the original timeline exactly. It satisfies
+// Recorder implements record-and-revisit debugging over a debug target —
+// a standalone board or a whole cluster. It takes periodic checkpoints
+// while logging the two non-deterministic input streams (environment
+// WriteInputs and host wire instructions), and replays them during
+// RewindTo/ReplayUntil so re-execution from a checkpoint reproduces the
+// original timeline exactly. Everything else in a cluster run — bus
+// arbitration, frame loss, jitter — is drawn from the network's seeded
+// RNG, which the checkpoints capture. The logs are one global sequence:
+// the nodes share one virtual clock and run in a deterministic order, so
+// a single cursor replays events in the order they originally
+// interleaved. Actor names are unique system-wide, so an input record
+// needs no node: replay finds the board from the actor. It satisfies
 // engine.Rewinder; attach it with Session.AttachRewinder.
 type Recorder struct {
-	Board   *target.Board
+	Target  target.Target
 	Session *engine.Session
-	Source  *engine.SerialSource // nil on passive sessions
+	// Serials maps node name -> that node's command channel; passive
+	// nodes have none.
+	Serials map[string]*engine.SerialSource
 
 	// IntervalNs is the periodic checkpoint cadence in virtual time.
 	IntervalNs uint64
@@ -51,19 +62,22 @@ type Recorder struct {
 	SliceNs uint64
 
 	// MaxCheckpoints bounds the retained checkpoint list (each checkpoint
-	// carries a full RAM image and trace copy, so an unbounded list grows
-	// quadratically over very long runs). When the cap is hit the oldest
-	// periodic checkpoint after the initial one is evicted — rewinds reach
-	// the whole run, at coarser granularity near the beginning. Zero means
-	// DefaultMaxCheckpoints.
+	// carries every node's RAM image and a trace copy, so an unbounded list
+	// grows quadratically over very long runs). When the cap is hit the
+	// oldest periodic checkpoint after the initial one is evicted — rewinds
+	// reach the whole run, at coarser granularity near the beginning. Zero
+	// means DefaultMaxCheckpoints.
 	MaxCheckpoints int
+
+	boards []*target.Board // in node order
 
 	cps    []*Checkpoint
 	lastCp uint64
 
 	// inputs are environment stimuli written during PreLatch (replayed at
 	// the same release sites); manual are stimuli written outside it —
-	// user pokes between run slices — replayed at pump boundaries.
+	// user pokes between run slices, a cluster's pre-release refresh —
+	// replayed at pump boundaries.
 	inputs []InputRecord
 	manual []InputRecord
 	instrs []InstrRecord
@@ -77,32 +91,34 @@ type Recorder struct {
 	inPtr     int
 	manPtr    int
 	insPtr    int
-
-	liveEnv func(now uint64, actor string)
 }
 
 // DefaultMaxCheckpoints is the retained-checkpoint cap when
 // Recorder.MaxCheckpoints is zero.
 const DefaultMaxCheckpoints = 64
 
-// Attach interposes a recorder on a board + session pair and takes the
-// initial checkpoint. Attach after arming any standing breakpoints so the
-// initial checkpoint carries them. intervalNs zero means
-// DefaultIntervalNs.
-func Attach(b *target.Board, s *engine.Session, src *engine.SerialSource, intervalNs uint64) (*Recorder, error) {
+// Attach interposes a recorder on every node of a target + session pair
+// and takes the initial checkpoint. Attach after arming any standing
+// breakpoints (the initial checkpoint carries them) and after any
+// restore. intervalNs zero means DefaultIntervalNs.
+func Attach(t target.Target, s *engine.Session, serials map[string]*engine.SerialSource, intervalNs uint64) (*Recorder, error) {
 	if intervalNs == 0 {
 		intervalNs = DefaultIntervalNs
 	}
 	r := &Recorder{
-		Board: b, Session: s, Source: src,
+		Target: t, Session: s, Serials: serials,
 		IntervalNs: intervalNs, SliceNs: DefaultSliceNs,
-		frontier: b.Now(),
+		frontier: t.Now(),
 	}
-	r.liveEnv = b.PreLatch
-	b.PreLatch = r.preLatch
-	b.OnInput = r.logInput
-	if src != nil {
-		src.Tap = r.logInstr
+	for _, node := range t.Nodes() {
+		b := t.Board(node)
+		r.boards = append(r.boards, b)
+		env := b.PreLatch
+		b.PreLatch = func(now uint64, actor string) { r.preLatch(b, env, now, actor) }
+		b.OnInput = r.logInput
+		if src := serials[node]; src != nil {
+			src.Tap = func(in protocol.Instruction) { r.logInstr(node, in) }
+		}
 	}
 	if _, err := r.TakeCheckpoint(); err != nil {
 		return nil, err
@@ -150,7 +166,7 @@ func (r *Recorder) Observe(now uint64) error {
 // checkpoint list, evicting the oldest periodic checkpoint (the initial
 // one is always kept) once MaxCheckpoints is reached.
 func (r *Recorder) TakeCheckpoint() (*Checkpoint, error) {
-	cp, err := Capture(r.Board, r.Session, r.Source)
+	cp, err := Capture(r.Target, r.Session, r.Serials)
 	if err != nil {
 		return nil, err
 	}
@@ -175,8 +191,8 @@ func (r *Recorder) LastBefore(t uint64) *Checkpoint {
 	return r.cps[i-1]
 }
 
-// logInput is the board's OnInput hook (record mode only). Writes made
-// inside the environment hook replay at the same PreLatch site; writes
+// logInput is every board's OnInput hook (record mode only). Writes made
+// inside an environment hook replay at the same PreLatch site; writes
 // made anywhere else (a user poking an input between run slices, a
 // cluster's pre-release refresh) land in the manual log, replayed at pump
 // boundaries.
@@ -192,20 +208,20 @@ func (r *Recorder) logInput(now uint64, actor, port string, v value.Value) {
 	}
 }
 
-// logInstr is the serial source's Tap hook (record mode only).
-func (r *Recorder) logInstr(in protocol.Instruction) {
+// logInstr is each command channel's Tap hook (record mode only).
+func (r *Recorder) logInstr(node string, in protocol.Instruction) {
 	if r.replaying {
 		return
 	}
-	r.instrs = append(r.instrs, InstrRecord{At: r.Board.Now(), In: in})
+	r.instrs = append(r.instrs, InstrRecord{At: r.Target.Now(), Node: node, In: in})
 }
 
-// preLatch replaces the board's environment hook: in record mode the live
-// environment runs (and its writes are logged via OnInput); in replay mode
-// the logged writes for this (instant, actor) are re-applied instead, so
-// the environment's own state — which belongs to the live frontier, not
-// the rewound instant — is never consulted.
-func (r *Recorder) preLatch(now uint64, actor string) {
+// preLatch replaces board b's environment hook env: in record mode the
+// live environment runs (and its writes are logged via OnInput); in
+// replay mode the logged writes for this (instant, actor) release site
+// are re-applied instead, so the environment's own state — which belongs
+// to the live frontier, not the rewound instant — is never consulted.
+func (r *Recorder) preLatch(b *target.Board, env func(now uint64, actor string), now uint64, actor string) {
 	if r.replaying && now <= r.frontier {
 		for r.inPtr < len(r.inputs) && r.inputs[r.inPtr].At < now {
 			r.inPtr++
@@ -217,7 +233,7 @@ func (r *Recorder) preLatch(now uint64, actor string) {
 			}
 			v, err := value.Decode(ir.Val)
 			if err == nil {
-				_ = r.Board.WriteInput(ir.Actor, ir.Port, v)
+				_ = b.WriteInput(ir.Actor, ir.Port, v)
 			}
 			r.inPtr++
 		}
@@ -226,9 +242,9 @@ func (r *Recorder) preLatch(now uint64, actor string) {
 	if r.replaying {
 		r.endReplay()
 	}
-	if r.liveEnv != nil {
+	if env != nil {
 		r.inEnv = true
-		r.liveEnv(now, actor)
+		env(now, actor)
 		r.inEnv = false
 	}
 }
@@ -249,9 +265,9 @@ func (r *Recorder) beginReplay(now uint64) {
 	r.insPtr = sort.Search(len(r.instrs), func(i int) bool { return r.instrs[i].At >= now })
 }
 
-// applyManual re-injects stimuli that were written outside the
-// environment hook, at the pump boundary where the original write sat
-// between run slices.
+// applyManual re-injects stimuli that were written outside environment
+// hooks, at the pump boundary where the original write sat between run
+// slices, on the board that owns the actor.
 func (r *Recorder) applyManual(now uint64) {
 	for r.manPtr < len(r.manual) && r.manual[r.manPtr].At < now {
 		r.manPtr++
@@ -259,46 +275,58 @@ func (r *Recorder) applyManual(now uint64) {
 	for r.manPtr < len(r.manual) && r.manual[r.manPtr].At == now {
 		ir := r.manual[r.manPtr]
 		if v, err := value.Decode(ir.Val); err == nil {
-			_ = r.Board.WriteInput(ir.Actor, ir.Port, v)
+			if b := r.owner(ir.Actor); b != nil {
+				_ = b.WriteInput(ir.Actor, ir.Port, v)
+			}
 		}
 		r.manPtr++
 	}
 }
 
-// sendLogged re-injects every logged instruction stamped exactly now. A
-// pause/resume implied host-flag flip is mirrored without wire traffic.
-func (r *Recorder) sendLogged(now uint64) {
-	if r.Source == nil {
-		return
+// owner returns the board whose program carries actor, or nil.
+func (r *Recorder) owner(actor string) *target.Board {
+	for _, b := range r.boards {
+		if b.Prog.Unit(actor) != nil {
+			return b
+		}
 	}
+	return nil
+}
+
+// sendLogged re-injects every logged instruction stamped exactly now on
+// its original node's command channel. A pause/resume implied host-flag
+// flip is mirrored without wire traffic.
+func (r *Recorder) sendLogged(now uint64) {
 	for r.insPtr < len(r.instrs) && r.instrs[r.insPtr].At < now {
 		r.insPtr++
 	}
 	for r.insPtr < len(r.instrs) && r.instrs[r.insPtr].At == now {
-		in := r.instrs[r.insPtr].In
-		_ = r.Source.Resend(in)
-		switch in.Type {
-		case protocol.InPause:
-			r.Session.SetPausedState(true)
-		case protocol.InResume, protocol.InStep:
-			r.Session.SetPausedState(false)
+		rec := r.instrs[r.insPtr]
+		if src := r.Serials[rec.Node]; src != nil {
+			_ = src.Resend(rec.In)
+			switch rec.In.Type {
+			case protocol.InPause:
+				r.Session.SetPausedState(true)
+			case protocol.InResume, protocol.InStep:
+				r.Session.SetPausedState(false)
+			}
 		}
 		r.insPtr++
 	}
 }
 
 // pumpTo re-executes forward to exactly t: logged instructions are
-// re-sent at their original instants, the board advances slice by slice,
+// re-sent at their original instants, the target advances slice by slice,
 // and events are processed only at absolute grid points (multiples of
 // SliceNs) — the same receive grid the live run polls on, so replayed
 // receive stamps reproduce exactly. A partial tail below the next grid
-// point advances the board silently: events raised there stay on the
+// point advances the target silently: events raised there stay on the
 // wire, just as they were in-flight at that instant originally. During
 // replay a breakpoint pause does not stop the pump — the logged resume
 // that cleared it in the original timeline clears it here too.
 func (r *Recorder) pumpTo(t uint64) error {
-	for r.Board.Now() < t {
-		now := r.Board.Now()
+	for r.Target.Now() < t {
+		now := r.Target.Now()
 		if r.replaying {
 			r.sendLogged(now)
 			r.applyManual(now)
@@ -306,14 +334,14 @@ func (r *Recorder) pumpTo(t uint64) error {
 		next := (now/r.SliceNs + 1) * r.SliceNs
 		if next > t {
 			// Partial tail: land exactly on t without polling the host side.
-			r.Board.RunFor(t - now)
+			r.Target.RunUntil(t)
 			return nil
 		}
-		r.Board.RunFor(next - now)
-		if _, err := r.Session.ProcessEvents(r.Board.Now()); err != nil {
+		r.Target.RunUntil(next)
+		if _, err := r.Session.ProcessEvents(r.Target.Now()); err != nil {
 			return err
 		}
-		if err := r.Observe(r.Board.Now()); err != nil {
+		if err := r.Observe(r.Target.Now()); err != nil {
 			return err
 		}
 	}
@@ -323,44 +351,44 @@ func (r *Recorder) pumpTo(t uint64) error {
 // RewindTo implements engine.Rewinder: restore the latest checkpoint at
 // or before t, then deterministically re-execute forward to exactly t.
 // The landing instant is exact — t falls wherever it falls relative to
-// instruction boundaries; the board state is the one the original
+// instruction boundaries; the target state is the one the original
 // timeline had at that very nanosecond.
 func (r *Recorder) RewindTo(t uint64) (uint64, error) {
 	cp := r.LastBefore(t)
 	if cp == nil {
 		return 0, fmt.Errorf("checkpoint: no checkpoint at or before t=%d", t)
 	}
-	if err := Apply(cp, r.Board, r.Session, r.Source); err != nil {
+	if err := Apply(cp, r.Target, r.Session, r.Serials); err != nil {
 		return 0, err
 	}
-	r.beginReplay(r.Board.Now())
+	r.beginReplay(r.Target.Now())
 	if err := r.pumpTo(t); err != nil {
-		return r.Board.Now(), err
+		return r.Target.Now(), err
 	}
-	if r.Board.Now() >= r.frontier {
+	if r.Target.Now() >= r.frontier {
 		r.endReplay()
 	}
-	return r.Board.Now(), nil
+	return r.Target.Now(), nil
 }
 
 // ReplayUntil implements engine.Rewinder: re-execute forward from the
 // current (typically rewound) instant until cond reports true, bounded by
 // maxNs of virtual time. cond is checked at pump-slice boundaries.
 func (r *Recorder) ReplayUntil(cond func(now uint64) bool, maxNs uint64) (bool, error) {
-	if r.Board.Now() < r.frontier && !r.replaying {
-		r.beginReplay(r.Board.Now())
+	if r.Target.Now() < r.frontier && !r.replaying {
+		r.beginReplay(r.Target.Now())
 	}
-	limit := r.Board.Now() + maxNs
+	limit := r.Target.Now() + maxNs
 	for {
-		if cond(r.Board.Now()) {
+		if cond(r.Target.Now()) {
 			return true, nil
 		}
-		if r.Board.Now() >= limit {
+		if r.Target.Now() >= limit {
 			return false, nil
 		}
 		// Advance to the next grid point (re-aligning after an off-grid
 		// rewind landing), checking cond after each pumped slice.
-		next := (r.Board.Now()/r.SliceNs + 1) * r.SliceNs
+		next := (r.Target.Now()/r.SliceNs + 1) * r.SliceNs
 		if next > limit {
 			next = limit
 		}

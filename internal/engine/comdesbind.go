@@ -222,21 +222,6 @@ func MissBreakpoint(id, actor string) Breakpoint {
 	}
 }
 
-// BusDropBreakpoint builds the standard bus-loss breakpoint for a cluster
-// node: over the active interface the TargetCond runs on the node's
-// kernel-maintained __busdrops counter (compiled into TDMA cluster
-// programs), halting the board at the slot that lost the frame; over
-// passive/replay sources the EvFrameDropped event pattern is filtered
-// host-side.
-func BusDropBreakpoint(id, node string) Breakpoint {
-	return Breakpoint{
-		ID:         id,
-		Event:      protocol.EvFrameDropped,
-		Source:     node,
-		TargetCond: "__busdrops > 0",
-	}
-}
-
 // StateCond translates a model-level "break when machine enters state S"
 // into a condition over the generated state symbol ("path.__state == i"),
 // evaluable by the target-resident breakpoint agent. machinePath is the

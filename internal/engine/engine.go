@@ -87,9 +87,6 @@ func (s *SerialSource) Poll(now uint64) []protocol.Event {
 	return evs
 }
 
-// DecodeErrors reports damaged frames seen so far.
-func (s *SerialSource) DecodeErrors() int { return s.dec.Errors }
-
 // Send transmits a GDM -> target instruction over the link (remote pause,
 // variable read/write); the target firmware services it at its next run
 // slice and acknowledges with events.

@@ -358,11 +358,11 @@ func (s *Server) dispatch(c *conn, req *Request) (any, error) {
 	switch req.Method {
 	case "attach":
 		ss.sink = c
-		ss.streamed = ss.engineSession().Trace.Len()
+		ss.streamed = ss.dbg.Session.Trace.Len()
 		res := AttachResult{
 			Model:   ss.model,
-			NowNs:   ss.now(),
-			Paused:  ss.engineSession().Paused(),
+			NowNs:   ss.dbg.Now(),
+			Paused:  ss.dbg.Session.Paused(),
 			Records: ss.streamed,
 		}
 		s.st.recordAttach(time.Since(start))
@@ -380,7 +380,7 @@ func (s *Server) dispatch(c *conn, req *Request) (any, error) {
 		if err := unmarshalParams(req.Params, &p); err != nil {
 			return nil, err
 		}
-		return nil, ss.engineSession().ClearBreakpoint(p.ID)
+		return nil, ss.dbg.Session.ClearBreakpoint(p.ID)
 
 	case "run-until":
 		var p RunParams
@@ -389,11 +389,11 @@ func (s *Server) dispatch(c *conn, req *Request) (any, error) {
 		}
 		until := p.UntilNs
 		if until == 0 {
-			until = ss.now() + p.Ms*1_000_000
+			until = ss.dbg.Now() + p.Ms*1_000_000
 		}
 		var err error
-		if until > ss.now() {
-			err = s.simDo(func() error { return ss.runNs(until - ss.now()) })
+		if until > ss.dbg.Now() {
+			err = s.simDo(func() error { return ss.dbg.RunNs(until - ss.dbg.Now()) })
 		}
 		s.flushStream(ss)
 		if err != nil {
@@ -414,15 +414,15 @@ func (s *Server) dispatch(c *conn, req *Request) (any, error) {
 		return s.runResult(ss), nil
 
 	case "continue":
-		ss.engineSession().Continue()
+		ss.dbg.Session.Continue()
 		return s.runResult(ss), nil
 
 	case "pause":
-		ss.engineSession().Pause()
+		ss.dbg.Session.Pause()
 		return s.runResult(ss), nil
 
 	case "checkpoint":
-		cp, err := ss.checkpoint()
+		cp, err := ss.dbg.Checkpoint()
 		if err != nil {
 			return nil, err
 		}
@@ -444,17 +444,17 @@ func (s *Server) dispatch(c *conn, req *Request) (any, error) {
 		var landed uint64
 		err := s.simDo(func() error {
 			var rerr error
-			landed, rerr = ss.engineSession().RewindTo(toNs)
+			landed, rerr = ss.dbg.Session.RewindTo(toNs)
 			return rerr
 		})
 		s.flushStream(ss)
 		if err != nil {
 			return nil, err
 		}
-		return RewindResult{LandedNs: landed, Records: ss.engineSession().Trace.Len()}, nil
+		return RewindResult{LandedNs: landed, Records: ss.dbg.Session.Trace.Len()}, nil
 
 	case "trace":
-		tr := ss.engineSession().Trace
+		tr := ss.dbg.Session.Trace
 		return TraceResult{Stable: tr.FormatStable(), Records: tr.Len()}, nil
 
 	case "journal":
@@ -476,9 +476,9 @@ func unmarshalParams(raw json.RawMessage, v any) error {
 }
 
 func (s *Server) runResult(ss *session) RunResult {
-	es := ss.engineSession()
+	es := ss.dbg.Session
 	res := RunResult{
-		NowNs:   ss.now(),
+		NowNs:   ss.dbg.Now(),
 		Paused:  es.Paused(),
 		Handled: es.Handled,
 		Records: es.Trace.Len(),
@@ -494,7 +494,7 @@ func (s *Server) runResult(ss *session) RunResult {
 // incident record. Called with ss.mu held. With no sink attached the
 // cursor still advances (history is available via attach + trace).
 func (s *Server) flushStream(ss *session) {
-	tr := ss.engineSession().Trace
+	tr := ss.dbg.Session.Trace
 	n := tr.Len()
 	if ss.sink == nil {
 		ss.streamed = n
@@ -585,49 +585,11 @@ func (s *Server) handleCreate(raw json.RawMessage) (any, error) {
 		}
 	}
 
-	ss := &session{model: model, sys: sys}
-	if len(sys.Nodes()) > 1 {
-		exec := target.ExecAuto
-		switch p.Exec {
-		case "", "auto":
-		case "serial":
-			exec = target.ExecSerial
-		case "parallel":
-			exec = target.ExecParallel
-		default:
-			return nil, fmt.Errorf("farm: unknown exec mode %q (auto|serial|parallel)", p.Exec)
-		}
-		ccfg := repro.StandardClusterConfig(sys.Nodes(), exec)
-		var cenv func(now uint64, node string, b *target.Board)
-		if sc != nil {
-			ccfg = sc.ClusterConfig(exec)
-			cenv = sc.ClusterEnvironment()
-		}
-		cdbg, err := repro.DebugCluster(sys, repro.ClusterDebugConfig{Cluster: ccfg, Environment: cenv})
-		if err != nil {
-			return nil, err
-		}
-		ss.cdbg = cdbg
-	} else {
-		prog, err := s.programForSystem(model, sys)
-		if err != nil {
-			return nil, err
-		}
-		cfg := repro.DebugConfig{
-			Transport:   repro.Active,
-			Environment: repro.StandardEnvironment(p.Model),
-			Program:     prog,
-		}
-		if sc != nil {
-			cfg.Environment = sc.Environment()
-			cfg.Board = sc.BoardConfig()
-		}
-		dbg, err := repro.Debug(sys, cfg)
-		if err != nil {
-			return nil, err
-		}
-		ss.dbg = dbg
+	dbg, err := s.newDebugger(model, sys, sc, p)
+	if err != nil {
+		return nil, err
 	}
+	ss := &session{model: model, sys: sys, dbg: dbg}
 
 	resumed := false
 	if p.Checkpoint != "" {
@@ -635,7 +597,7 @@ func (s *Server) handleCreate(raw json.RawMessage) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := ss.restore(cp); err != nil {
+		if err := ss.dbg.RestoreCheckpoint(cp); err != nil {
 			return nil, err
 		}
 		resumed = true
@@ -643,12 +605,7 @@ func (s *Server) handleCreate(raw json.RawMessage) (any, error) {
 	if p.RecordMs != 0 {
 		// Enable after any restore, so the initial recorder checkpoint sits
 		// at the resumed instant rather than t=0.
-		interval := time.Duration(p.RecordMs) * time.Millisecond
-		if ss.dbg != nil {
-			if _, err := ss.dbg.EnableCheckpointing(interval); err != nil {
-				return nil, err
-			}
-		} else if _, err := ss.cdbg.EnableCheckpointing(interval); err != nil {
+		if _, err := ss.dbg.EnableCheckpointing(time.Duration(p.RecordMs) * time.Millisecond); err != nil {
 			return nil, err
 		}
 	}
@@ -679,14 +636,62 @@ func (s *Server) handleCreate(raw json.RawMessage) (any, error) {
 	res := CreateResult{
 		Session: ss.id,
 		Model:   model,
-		NowNs:   ss.now(),
-		Records: ss.engineSession().Trace.Len(),
+		NowNs:   ss.dbg.Now(),
+		Records: ss.dbg.Session.Trace.Len(),
 		Backend: ss.backend(),
 	}
-	if ss.cdbg != nil {
-		res.Nodes = ss.cdbg.Cluster.Nodes()
+	if nodes := ss.dbg.Target().Nodes(); len(nodes) > 1 {
+		res.Nodes = nodes
 	}
 	return res, nil
+}
+
+// newDebugger builds a session's debugger: a placed multi-node system
+// boots as a TDMA cluster, anything else on one board sharing the cached
+// compiled program. sc is the scenario the system came from, nil for a
+// built-in model.
+func (s *Server) newDebugger(model string, sys *comdes.System, sc *dsl.Scenario, p CreateParams) (*repro.Core, error) {
+	if len(sys.Nodes()) > 1 {
+		exec := target.ExecAuto
+		switch p.Exec {
+		case "", "auto":
+		case "serial":
+			exec = target.ExecSerial
+		case "parallel":
+			exec = target.ExecParallel
+		default:
+			return nil, fmt.Errorf("farm: unknown exec mode %q (auto|serial|parallel)", p.Exec)
+		}
+		ccfg := repro.StandardClusterConfig(sys.Nodes(), exec)
+		var cenv func(now uint64, node string, b *target.Board)
+		if sc != nil {
+			ccfg = sc.ClusterConfig(exec)
+			cenv = sc.ClusterEnvironment()
+		}
+		cdbg, err := repro.DebugCluster(sys, repro.ClusterDebugConfig{Cluster: ccfg, Environment: cenv})
+		if err != nil {
+			return nil, err
+		}
+		return &cdbg.Core, nil
+	}
+	prog, err := s.programForSystem(model, sys)
+	if err != nil {
+		return nil, err
+	}
+	cfg := repro.DebugConfig{
+		Transport:   repro.Active,
+		Environment: repro.StandardEnvironment(p.Model),
+		Program:     prog,
+	}
+	if sc != nil {
+		cfg.Environment = sc.Environment()
+		cfg.Board = sc.BoardConfig()
+	}
+	dbg, err := repro.Debug(sys, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &dbg.Core, nil
 }
 
 func (s *Server) handleDetach(ss *session, raw json.RawMessage) (any, error) {
@@ -704,9 +709,9 @@ func (s *Server) handleDetach(ss *session, raw json.RawMessage) (any, error) {
 		return nil, ss.errClosed()
 	}
 	ss.journalReq("detach", raw)
-	res := DetachResult{TimeNs: ss.now()}
+	res := DetachResult{TimeNs: ss.dbg.Now()}
 	if p.Checkpoint {
-		cp, err := ss.checkpoint()
+		cp, err := ss.dbg.Checkpoint()
 		if err != nil {
 			return nil, err
 		}

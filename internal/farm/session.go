@@ -7,15 +7,14 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/checkpoint"
 	"repro/internal/comdes"
 	"repro/internal/engine"
 	"repro/internal/protocol"
 	"repro/internal/trace"
 )
 
-// session is one multiplexed debug session: an independent simulated
-// board (dbg) or TDMA cluster (cdbg) plus its journal and streaming
+// session is one multiplexed debug session: an independent debug target
+// — a simulated board or a TDMA cluster — plus its journal and streaming
 // cursor. All access goes through mu — sessions are fully isolated from
 // each other (separate boards, kernels, GDMs, traces); the only shared
 // artifact is the immutable compiled program.
@@ -23,10 +22,9 @@ type session struct {
 	id    string
 	model string
 
-	mu   sync.Mutex
-	sys  *comdes.System
-	dbg  *repro.Debugger        // single-board sessions
-	cdbg *repro.ClusterDebugger // cluster sessions
+	mu  sync.Mutex
+	sys *comdes.System
+	dbg *repro.Core
 
 	journal []JournalEntry
 	jseq    uint64
@@ -44,54 +42,17 @@ func (ss *session) errClosed() error {
 	return fmt.Errorf("farm: session %s is detached", ss.id)
 }
 
-func (ss *session) engineSession() *engine.Session {
-	if ss.dbg != nil {
-		return ss.dbg.Session
-	}
-	return ss.cdbg.Session
-}
-
-func (ss *session) now() uint64 {
-	if ss.dbg != nil {
-		return ss.dbg.Board.Now()
-	}
-	return ss.cdbg.Cluster.Now()
-}
-
 // backend reports the VM dispatch backend the session runs generated code
 // on: "threaded" only when every board of the session uses the compiled
 // form — a cluster with even one interpreter-bound node reports "interp".
 func (ss *session) backend() string {
-	if ss.dbg != nil {
-		return ss.dbg.Board.Backend()
-	}
-	for _, node := range ss.cdbg.Cluster.Nodes() {
-		if ss.cdbg.Cluster.Board(node).Backend() != "threaded" {
+	t := ss.dbg.Target()
+	for _, node := range t.Nodes() {
+		if t.Board(node).Backend() != "threaded" {
 			return "interp"
 		}
 	}
 	return "threaded"
-}
-
-func (ss *session) runNs(ns uint64) error {
-	if ss.dbg != nil {
-		return ss.dbg.RunNs(ns)
-	}
-	return ss.cdbg.RunNs(ns)
-}
-
-func (ss *session) checkpoint() (*checkpoint.Checkpoint, error) {
-	if ss.dbg != nil {
-		return ss.dbg.Checkpoint()
-	}
-	return ss.cdbg.Checkpoint()
-}
-
-func (ss *session) restore(cp *checkpoint.Checkpoint) error {
-	if ss.dbg != nil {
-		return ss.dbg.RestoreCheckpoint(cp)
-	}
-	return ss.cdbg.RestoreCheckpoint(cp)
 }
 
 // journalReq appends one control request to the session journal, stamped
@@ -105,7 +66,7 @@ func (ss *session) journalReq(method string, params json.RawMessage) {
 		p = append(json.RawMessage(nil), params...)
 	}
 	ss.journal = append(ss.journal, JournalEntry{
-		Seq: ss.jseq, VTNs: ss.now(), Method: method, Params: p,
+		Seq: ss.jseq, VTNs: ss.dbg.Now(), Method: method, Params: p,
 	})
 }
 
@@ -151,10 +112,10 @@ func (ss *session) setBreak(p BreakParams) (BreakResult, error) {
 	case p.TargetCond == "":
 		return BreakResult{}, fmt.Errorf("farm: breakpoint %s needs machine/state, missActor, event, or targetCond", p.ID)
 	}
-	if err := ss.engineSession().SetBreakpoint(bp); err != nil {
+	if err := ss.dbg.Session.SetBreakpoint(bp); err != nil {
 		return BreakResult{}, err
 	}
-	for _, installed := range ss.engineSession().Breakpoints() {
+	for _, installed := range ss.dbg.Session.Breakpoints() {
 		if installed.ID == p.ID {
 			return BreakResult{OnTarget: installed.OnTarget()}, nil
 		}
@@ -170,18 +131,10 @@ func (ss *session) step(p StepParams) error {
 		maxMs = 1000
 	}
 	wait := time.Duration(maxMs) * time.Millisecond
-	if ss.dbg != nil {
-		if p.Target {
-			return ss.dbg.StepOnTarget(wait)
-		}
-		return ss.dbg.StepEvent(wait)
-	}
 	if p.Target {
-		ss.cdbg.Session.StepTarget()
-	} else {
-		ss.cdbg.Session.Step()
+		return ss.dbg.StepOnTarget(wait)
 	}
-	return ss.cdbg.RunNs(uint64(wait.Nanoseconds()))
+	return ss.dbg.StepEvent(wait)
 }
 
 // incident reports whether a trace record is an incident — something the

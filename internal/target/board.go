@@ -356,10 +356,25 @@ func (ue *unitExec) recycle(m *codegen.Machine) {
 // services pending host instructions. While halted, time (and the UART
 // line) still advances but no task code executes. On a cluster board the
 // shared kernel — and therefore every sibling board — advances too.
-func (b *Board) RunFor(ns uint64) {
-	end := b.kernel.Now() + ns
-	b.kernel.RunUntil(end)
-	b.sync(end)
+func (b *Board) RunFor(ns uint64) { b.RunUntil(b.kernel.Now() + ns) }
+
+// RunUntil advances the board to absolute virtual time t (see RunFor);
+// it is Cluster.RunUntil for the one-node case.
+func (b *Board) RunUntil(t uint64) {
+	b.kernel.RunUntil(t)
+	b.sync(t)
+}
+
+// Nodes returns the board's own name: a standalone board is a one-node
+// system.
+func (b *Board) Nodes() []string { return []string{b.Name} }
+
+// Board returns b when node is its name, nil otherwise.
+func (b *Board) Board(node string) *Board {
+	if node == b.Name {
+		return b
+	}
+	return nil
 }
 
 // Now returns the board's virtual time in nanoseconds.

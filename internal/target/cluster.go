@@ -55,6 +55,26 @@ type ClusterConfig struct {
 	Exec ExecMode
 }
 
+// Target is the debug target every layer above this package drives: a
+// standalone *Board is the one-node case, a *Cluster the placed
+// multi-node one. Both advance on one virtual clock and expose their
+// boards by node name, in sorted node order.
+type Target interface {
+	// Now returns the shared virtual time in nanoseconds.
+	Now() uint64
+	// RunUntil advances every node to absolute virtual time t.
+	RunUntil(t uint64)
+	// Nodes returns the node names in sorted order.
+	Nodes() []string
+	// Board returns the named node's board, or nil.
+	Board(node string) *Board
+}
+
+var (
+	_ Target = (*Board)(nil)
+	_ Target = (*Cluster)(nil)
+)
+
 // Cluster is a multi-node deployment: one Board per placement node, all
 // sharing a single virtual clock, with cross-node signal bindings carried
 // by a latency network.

@@ -366,11 +366,13 @@
 // # Session lifecycle
 //
 // One debug session owns one board (repro.Debug) or one cluster
-// (repro.DebugCluster) plus its host half. Sessions exist in-process (the
-// gmdf CLI, tests) or multiplexed behind a farm server (internal/farm,
-// cmd/gmdfd), where many isolated sessions share one immutable compiled
-// program — codegen.Program is static IR; all mutable state (RAM, kernel,
-// machines, agent, trace) lives in the board/cluster and the session.
+// (repro.DebugCluster) plus its host half. Both satisfy Target, the one
+// debug-target type every layer above this package drives: a board is
+// the one-node case. Sessions exist in-process (the gmdf CLI, tests) or
+// multiplexed behind a farm server (internal/farm, cmd/gmdfd), where many
+// isolated sessions share one immutable compiled program —
+// codegen.Program is static IR; all mutable state (RAM, kernel, machines,
+// agent, trace) lives in the board/cluster and the session.
 // The lifecycle matrix, by operation × target shape × checkpoint state:
 //
 //	operation   single board                cluster
@@ -378,9 +380,9 @@
 //	(fresh)     cached program), boot the   board per placed node on a shared
 //	            board, bind the standard    virtual clock, the standard TDMA
 //	            environment; t=0, empty     bus underneath; RecordMs attaches
-//	            trace                       the whole-cluster recorder
-//	                                        (checkpoint.ClusterRecorder)
-//	create      checkpoint.Apply onto the   ClusterCheckpoint.Apply; node set
+//	            trace                       the same checkpoint.Recorder
+//	                                        over every node
+//	create      checkpoint.Apply onto the   checkpoint.Apply; node set
 //	(from       freshly booted board: RAM,  must match the model's placement;
 //	digest)     kernel, agent, serial and   restore lands mid-TDMA-cycle with
 //	            the host trace land at      identical queue phase and future
@@ -413,11 +415,11 @@
 //
 // Checkpoint-state column, orthogonally: a session with RecordMs enabled
 // also keeps periodic in-process checkpoints and can RewindTo/ReplayUntil
-// within its recorded window — checkpoint.Recorder logs one board's
-// environment inputs and wire instructions, checkpoint.ClusterRecorder
-// logs them per node and re-feeds them on each node's original command
-// channel (bus arbitration, loss and jitter replay from the restored
-// network RNG, not fresh draws). Detach checkpoints are one-shot full
+// within its recorded window — one checkpoint.Recorder, for either
+// shape, logs every node's environment inputs and wire instructions and
+// re-feeds them on the owning board and the original command channel
+// (bus arbitration, loss and jitter replay from the restored network
+// RNG, not fresh draws). Detach checkpoints are one-shot full
 // snapshots and work on any session at any run boundary. Virtual time
 // makes all of this deterministic: create-from-digest in a fresh process
 // and the original session produce byte-identical stable traces, which

@@ -319,28 +319,6 @@ func (w *Wizard) BreakOnDeadlineMiss(id, actor string) error {
 	return w.session.SetBreakpoint(engine.MissBreakpoint(id, actor))
 }
 
-// RewindTo reverse-steps the live session to virtual instant t (step 5):
-// the checkpoint recorder attached to the session (engine.Rewinder, see
-// internal/checkpoint) restores its last checkpoint at or before t and
-// deterministically re-executes forward to exactly t, so a deadline miss
-// that scrolled past can be revisited without rerunning the whole
-// experiment. It returns the instant landed on.
-func (w *Wizard) RewindTo(t uint64) (uint64, error) {
-	if err := w.requireStep(StepDebugging); err != nil {
-		return 0, err
-	}
-	return w.session.RewindTo(t)
-}
-
-// ReplayUntil re-executes forward from the current (typically rewound)
-// instant until cond holds, bounded by maxNs of virtual time (step 5).
-func (w *Wizard) ReplayUntil(cond func(now uint64) bool, maxNs uint64) (bool, error) {
-	if err := w.requireStep(StepDebugging); err != nil {
-		return false, err
-	}
-	return w.session.ReplayUntil(cond, maxNs)
-}
-
 // BreakOnPreemption arms a breakpoint on an actor being preempted (step
 // 5): on-target over the __preempts scheduling counter when the active
 // channel is attached, host-side on the EvPreempt pattern otherwise.
