@@ -8,6 +8,7 @@ package repro
 //	go test -bench=. -benchmem
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -406,38 +407,70 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterParallel times cluster execution of the 32-node placed
-// token ring per virtual millisecond, serial vs parallel. The parallel
-// mode runs each node's kernel on its own goroutine between TDMA lookahead
-// barriers; on a multi-core runner it should beat serial by ≥ 4× at this
-// node count (traces and checkpoints stay byte-identical either way —
-// asserted in internal/target, not here).
-func BenchmarkClusterParallel(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		exec target.ExecMode
-	}{{"serial", target.ExecSerial}, {"parallel", target.ExecParallel}} {
-		b.Run(mode.name, func(b *testing.B) {
-			sys, err := models.RingCluster(32)
+// BenchmarkClusterRun times one virtual millisecond of cluster execution
+// per op: "dist" is the two-node TDMA model the CLI, farm and campaign
+// run; "ring32" is the 32-node placed token ring on a 32-slot bus, which
+// the ring overloads. Every clusterRunHorizonMs ops the cluster is
+// restored to a warm snapshot with the timer stopped, so each op runs at
+// a virtual instant in the same fixed window whatever b.N is. (An
+// overloaded bus keeps more frames in flight the longer it runs; a
+// benchmark without the horizon ranks configurations by their b.N.)
+func BenchmarkClusterRun(b *testing.B) {
+	const clusterRunHorizonMs = 1000
+	ring32 := func() (*comdes.System, target.ClusterConfig, error) {
+		sys, err := models.RingCluster(32)
+		if err != nil {
+			return nil, target.ClusterConfig{}, err
+		}
+		bus := &dtm.BusSchedule{GapNs: 50_000, Seed: 2010}
+		for _, node := range sys.Nodes() {
+			bus.Slots = append(bus.Slots, dtm.BusSlot{Owner: node, LenNs: 100_000})
+		}
+		return sys, target.ClusterConfig{LatencyNs: 100_000, Bus: bus, Board: target.Config{Baud: 2_000_000}}, nil
+	}
+	dist := func() (*comdes.System, target.ClusterConfig, error) {
+		sys, err := models.ByName("dist")
+		if err != nil {
+			return nil, target.ClusterConfig{}, err
+		}
+		return sys, StandardClusterConfig(sys.Nodes()), nil
+	}
+	for _, bc := range []struct {
+		name  string
+		build func() (*comdes.System, target.ClusterConfig, error)
+	}{{"dist", dist}, {"ring32", ring32}} {
+		b.Run(bc.name, func(b *testing.B) {
+			sys, cfg, err := bc.build()
 			if err != nil {
 				b.Fatal(err)
 			}
-			bus := &dtm.BusSchedule{GapNs: 50_000, Seed: 2010}
-			for _, node := range sys.Nodes() {
-				bus.Slots = append(bus.Slots, dtm.BusSlot{Owner: node, LenNs: 100_000})
+			cl, err := target.BuildCluster(sys, cfg)
+			if err != nil {
+				b.Fatal(err)
 			}
-			cl, err := target.BuildCluster(sys, target.ClusterConfig{
-				LatencyNs: 100_000,
-				Bus:       bus,
-				Exec:      mode.exec,
-				Board:     target.Config{Baud: 2_000_000},
-			})
+			cl.RunUntil(10_000_000)
+			warm, err := cl.Snapshot()
+			if err != nil {
+				b.Fatal(err)
+			}
+			blob, err := json.Marshal(warm)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if i > 0 && i%clusterRunHorizonMs == 0 {
+					b.StopTimer()
+					var st target.ClusterState
+					if err := json.Unmarshal(blob, &st); err != nil {
+						b.Fatal(err)
+					}
+					if err := cl.Restore(&st); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
 				cl.RunUntil(cl.Now() + 1_000_000)
 			}
 		})

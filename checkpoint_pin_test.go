@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/target"
 	"repro/models"
 )
 
@@ -86,7 +85,7 @@ func TestSaturatedRingCheckpointBytesPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dbg, err := DebugCluster(sys, ClusterDebugConfig{Cluster: StandardClusterConfig(sys.Nodes(), target.ExecAuto)})
+			dbg, err := DebugCluster(sys, ClusterDebugConfig{Cluster: StandardClusterConfig(sys.Nodes())})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,6 +8,8 @@ package repro
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"os"
 	"testing"
 	"time"
@@ -571,6 +573,65 @@ func TestGoldenDistributedMidCycleRestore(t *testing.T) {
 		if got != want || gotOK != wantOK {
 			t.Fatalf("bus stats[%s]: restored %+v (ok=%v) vs live %+v (ok=%v)", node, got, gotOK, want, wantOK)
 		}
+	}
+}
+
+// TestRestoreCheckpointRefusesParallelForm: a cluster checkpoint written
+// by the removed parallel executor (its cluster state carries
+// "parallel": true) is refused through the debugger's restore path with
+// target.ErrParallelCheckpoint, and the session it was offered to keeps
+// running exactly as before.
+func TestRestoreCheckpointRefusesParallelForm(t *testing.T) {
+	src := distributedDebugger(t)
+	if err := src.Run(51 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := src.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := cp.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc, cluster map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(doc["cluster"], &cluster); err != nil {
+		t.Fatal(err)
+	}
+	cluster["parallel"] = json.RawMessage("true")
+	if doc["cluster"], err = json.Marshal(cluster); err != nil {
+		t.Fatal(err)
+	}
+	if blob, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := checkpoint.Decode(bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	live := distributedDebugger(t)
+	if err := live.Run(20 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	before, err := live.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := live.RestoreCheckpoint(legacy); !errors.Is(err, target.ErrParallelCheckpoint) {
+		t.Fatalf("restore of a parallel-form checkpoint: %v, want target.ErrParallelCheckpoint", err)
+	}
+	after, err := live.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := before.Marshal()
+	b, _ := after.Marshal()
+	if !bytes.Equal(a, b) {
+		t.Fatal("a refused restore changed the session")
 	}
 }
 

@@ -77,7 +77,6 @@ func TestFailureStillFlushesClusterTrace(t *testing.T) {
 func TestBadFlagsReturnError(t *testing.T) {
 	for _, args := range [][]string{
 		{"-model", "no-such-model", "-ms", "10"},
-		{"-model", "dist", "-ms", "10", "-cluster-exec", "bogus"},
 		{"-model", "dist", "-ms", "10", "-transport", "passive"},
 		{"-model", "dist", "-ms", "10", "-campaign", "4", "-campaign-loss", "bogus"},
 		{"-model", "dist", "-ms", "10", "-campaign", "4", "-stats"},

@@ -6,7 +6,6 @@ package repro
 import (
 	"testing"
 
-	"repro/internal/target"
 	"repro/internal/value"
 	"repro/models"
 )
@@ -47,7 +46,7 @@ func TestRecorderReplaysHostActions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d, err := DebugCluster(sys, ClusterDebugConfig{Cluster: StandardClusterConfig(sys.Nodes(), target.ExecAuto)})
+			d, err := DebugCluster(sys, ClusterDebugConfig{Cluster: StandardClusterConfig(sys.Nodes())})
 			if err != nil {
 				t.Fatal(err)
 			}

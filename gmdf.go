@@ -69,8 +69,6 @@ type DebugConfig struct {
 	// Environment, when set, is invoked at every task release so a plant
 	// model can provide sensor inputs and consume actuator outputs.
 	Environment func(now uint64, b *target.Board)
-	// JTAGPollNs is the passive watch polling interval (default 1 ms).
-	JTAGPollNs uint64
 	// Program, when non-nil, skips compilation and loads this precompiled
 	// program instead. It must come from CompileFor with the same system
 	// and config — the farm server compiles each model once and shares the

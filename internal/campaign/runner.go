@@ -40,7 +40,7 @@ type kind interface {
 }
 
 // newRunner builds a warm-able instance of the spec's model: a placed
-// multi-node model on a serial-mode TDMA cluster (campaign parallelism is
+// multi-node model on the standard TDMA cluster (campaign parallelism is
 // across variants, not within one), anything else on one board. prog is
 // the shared single-board program (nil for clusters).
 func newRunner(spec *Spec, prog *codegen.Program, base *checkpoint.Checkpoint, arena *trace.Arena) (*runner, error) {
@@ -51,7 +51,7 @@ func newRunner(spec *Spec, prog *codegen.Program, base *checkpoint.Checkpoint, a
 	r := &runner{base: base, arena: arena}
 	if len(sys.Nodes()) >= 2 {
 		cdbg, err := repro.DebugCluster(sys, repro.ClusterDebugConfig{
-			Cluster: repro.StandardClusterConfig(sys.Nodes(), target.ExecSerial),
+			Cluster: repro.StandardClusterConfig(sys.Nodes()),
 		})
 		if err != nil {
 			return nil, err

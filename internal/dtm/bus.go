@@ -22,17 +22,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"repro/internal/value"
 )
 
 // DeliveryBase is the bottom of the sequence-number range the network uses
 // for delivery events. Deliveries are ordered by a dedicated counter that
-// increments in send order (the same order a shared serial kernel would
-// have assigned their seqs in), kept in a range no kernel counter can ever
-// reach so the two number spaces cannot collide when delivery events are
-// minted into a consumer node's own kernel.
+// increments in send order, kept in a range no kernel counter can ever
+// reach so the two number spaces cannot collide in the kernel's event
+// queue. The numbering is part of the checkpoint bytes.
 const DeliveryBase = uint64(1) << 62
 
 // BusSlot is one sender slot of the TDMA cycle.
@@ -158,23 +156,6 @@ func (s *BusSchedule) nextOwned(owner string, minAbs, now uint64) (uint64, bool)
 	}
 }
 
-// EarliestDepart is the schedule's lookahead query: the earliest instant a
-// frame enqueued by owner at or after time from could leave the bus, given
-// that slots below minAbs are already claimed. A frame submitted at t >=
-// from departs at max(slot start, t), so no departure can precede
-// max(SlotStart(nextOwned), from). ok is false when owner holds no slot.
-func (s *BusSchedule) EarliestDepart(owner string, minAbs, from uint64) (uint64, bool) {
-	abs, ok := s.nextOwned(owner, minAbs, from)
-	if !ok {
-		return 0, false
-	}
-	dep := s.SlotStart(abs)
-	if dep < from {
-		dep = from
-	}
-	return dep, true
-}
-
 // BusStats is the per-node TX accounting of the time-triggered bus.
 type BusStats struct {
 	// Enqueued counts frames handed to this node's TX queue.
@@ -213,13 +194,6 @@ type Network struct {
 	// OnDrop, when set, observes every frame loss at its departure slot;
 	// total is the owner's cumulative drop count.
 	OnDrop func(now uint64, owner, signal string, total uint64)
-	// OnSend, when set, gates every identified SendFrom before it touches
-	// any shared state. The parallel cluster installs its send arbiter here:
-	// the hook blocks the calling worker until every other node's event
-	// frontier has passed the sender's current event, so RNG draws, slot
-	// cursor claims and delivery sequence numbers are handed out in exactly
-	// the virtual-time order a serial shared kernel executes the sends in.
-	OnSend func(src string)
 
 	sched  *BusSchedule
 	rng    uint64
@@ -230,39 +204,8 @@ type Network struct {
 	stores   map[string]*Store
 	inflight []*netFlight
 
-	// mu guards the cross-node shared state above (counters, RNG, cursors,
-	// stats, the in-flight list, dseq and the delivery buffer) when node
-	// kernels advance on concurrent goroutines. Uncontended in serial mode.
-	mu sync.Mutex
-	// kernels maps node name -> that node's kernel when the owning cluster
-	// executes nodes in parallel; nil means everything runs on K. Departure
-	// events are scheduled on the sending node's kernel, deliveries are
-	// minted into the destination node's kernel at the next barrier.
-	kernels map[string]*Kernel
 	// dseq numbers deliveries in send order (seq = DeliveryBase + dseq).
 	dseq uint64
-	// pending buffers deliveries created during a parallel window; the
-	// barrier flushes them into consumer kernels (FlushDeliveries) — a
-	// concurrent heap push into a running kernel would race.
-	pending []*netFlight
-}
-
-// SetNodeKernels switches the network into parallel-cluster mode: each
-// node's events (departures, deliveries) are scheduled on its own kernel,
-// and deliveries created mid-window are buffered until FlushDeliveries.
-// Pass nil to return to the single shared kernel K.
-func (n *Network) SetNodeKernels(kernels map[string]*Kernel) {
-	n.kernels = kernels
-}
-
-// kernelFor resolves the kernel a node's events run on.
-func (n *Network) kernelFor(node string) *Kernel {
-	if n.kernels != nil {
-		if k, ok := n.kernels[node]; ok {
-			return k
-		}
-	}
-	return n.K
 }
 
 // netFlight is one signal message queued for or on the wire.
@@ -356,38 +299,20 @@ func (n *Network) Send(signal string, v value.Value, dst *Store) {
 // so a snapshot taken at any later instant carries the committed timing.
 //
 // Deliveries are numbered from a dedicated counter in send order
-// (DeliveryBase + dseq) instead of consuming a kernel seq: the identity is
-// then kernel-independent, so the parallel cluster — whose sends are
-// arbitrated into exactly the virtual-time order a serial run executes
-// them in — mints the delivery into the destination node's kernel with the
-// same (arrival, enqueue instant, seq) ordering key a shared kernel would
-// have used. In parallel mode the delivery is buffered until the next
-// barrier (FlushDeliveries); the departure always schedules immediately on
-// the sending node's kernel, which is the goroutine running this call.
+// (DeliveryBase + dseq) instead of consuming a kernel seq, and enter the
+// kernel with the explicit (arrival, enqueue instant, seq) identity that
+// NetworkState records, so a restore re-arms them at the same positions.
 func (n *Network) SendFrom(src, signal string, v value.Value, dst *Store) {
-	if src != "" && n.OnSend != nil {
-		n.OnSend(src)
-	}
-	kSrc := n.kernelFor(src)
-	now := kSrc.Now()
+	now := n.K.Now()
 	if n.sched == nil || src == "" {
-		n.mu.Lock()
 		n.Sent++
 		f := &netFlight{signal: signal, v: v, enq: now, at: now + n.LatencyNs, dst: dst}
 		f.seq = DeliveryBase + n.dseq
 		n.dseq++
 		n.inflight = append(n.inflight, f)
-		buffered := n.kernels != nil
-		if buffered {
-			n.pending = append(n.pending, f)
-		}
-		n.mu.Unlock()
-		if !buffered {
-			_ = n.K.ScheduleAt(f.at, now, f.seq, func(uint64) { n.deliver(f) })
-		}
+		_ = n.K.ScheduleAt(f.at, now, f.seq, func(uint64) { n.deliver(f) })
 		return
 	}
-	n.mu.Lock()
 	n.Sent++
 	st := n.nodeStats(src)
 	st.Enqueued++
@@ -398,10 +323,8 @@ func (n *Network) SendFrom(src, signal string, v value.Value, dst *Store) {
 		// only reachable on hand-built networks.
 		st.Dropped++
 		n.Dropped++
-		total := st.Dropped
-		n.mu.Unlock()
 		if n.OnDrop != nil {
-			n.OnDrop(now, src, signal, total)
+			n.OnDrop(now, src, signal, st.Dropped)
 		}
 		return
 	}
@@ -433,117 +356,47 @@ func (n *Network) SendFrom(src, signal string, v value.Value, dst *Store) {
 	n.dseq++
 	n.inflight = append(n.inflight, f)
 	st.Queued++
-	buffered := n.kernels != nil
-	if buffered && !f.lost {
-		n.pending = append(n.pending, f)
-	}
-	n.mu.Unlock()
-	f.departSeq, _ = kSrc.ScheduleTagged(f.departAt, func(now uint64) { n.depart(f, now) })
-	if !buffered && !f.lost {
+	f.departSeq, _ = n.K.ScheduleTagged(f.departAt, func(now uint64) { n.depart(f, now) })
+	if !f.lost {
 		_ = n.K.ScheduleAt(f.at, now, f.seq, func(uint64) { n.deliver(f) })
 	}
 }
 
-// FlushDeliveries mints every delivery buffered during a parallel window
-// into its destination node's kernel, in send order, with the explicit
-// (arrival, enqueue instant, delivery seq) identity fixed at send time.
-// The cluster calls it at every barrier, when no node kernel is running.
-func (n *Network) FlushDeliveries() error {
-	n.mu.Lock()
-	pend := n.pending
-	n.pending = nil
-	n.mu.Unlock()
-	for _, f := range pend {
-		f := f
-		k := n.K
-		if name, ok := n.names[f.dst]; ok {
-			k = n.kernelFor(name)
-		}
-		if err := k.ScheduleAt(f.at, f.enq, f.seq, func(uint64) { n.deliver(f) }); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DeliveryBound returns the earliest instant a frame not yet submitted at
-// time from could possibly arrive anywhere — the conservative lookahead
-// the parallel cluster uses as its barrier horizon. Under a TDMA schedule
-// no sender departs before its next claimable slot opens (release jitter
-// only delays departures within the slot), so the bound is the earliest
-// such slot start across all owners plus propagation; without a schedule
-// it is from + LatencyNs. Cursors only advance, so a bound computed at a
-// window's start stays valid for the whole window.
-func (n *Network) DeliveryBound(from uint64) uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.sched == nil {
-		return from + n.LatencyNs
-	}
-	best := ^uint64(0)
-	seen := map[string]bool{}
-	for _, sl := range n.sched.Slots {
-		if seen[sl.Owner] {
-			continue
-		}
-		seen[sl.Owner] = true
-		dep, ok := n.sched.EarliestDepart(sl.Owner, n.cursor[sl.Owner], from)
-		if !ok {
-			continue
-		}
-		if d := dep + n.LatencyNs; d < best {
-			best = d
-		}
-	}
-	if best == ^uint64(0) {
-		return from + n.LatencyNs
-	}
-	return best
-}
-
 // depart is the frame leaving its TX queue in its owner's slot: queueing
 // stats close, the slot hook fires, and a lost frame dies here — at the
-// slot, observable — instead of silently never arriving. It runs on the
-// sending node's kernel (and, in parallel mode, its goroutine), so the
-// slot/drop hooks hit the sender's own board.
+// slot, observable — instead of silently never arriving. The slot/drop
+// hooks report to the sender's own board.
 func (n *Network) depart(f *netFlight, now uint64) {
-	n.mu.Lock()
 	f.departed = true
 	st := n.nodeStats(f.src)
 	st.Queued--
 	if wait := f.departAt - f.enq; wait > st.WorstQueueNs {
 		st.WorstQueueNs = wait
 	}
-	var total uint64
 	if f.lost {
 		n.retire(f)
 		st.Dropped++
 		n.Dropped++
-		total = st.Dropped
 	}
-	n.mu.Unlock()
 	if n.OnSlot != nil {
 		n.OnSlot(now, f.src, f.signal, f.slot)
 	}
 	if f.lost && n.OnDrop != nil {
-		n.OnDrop(now, f.src, f.signal, total)
+		n.OnDrop(now, f.src, f.signal, st.Dropped)
 	}
 }
 
-// deliver lands one frame and retires its in-flight record. It runs on the
-// destination node's kernel, so the store write (and anything it triggers
-// on the consuming board) stays node-local.
+// deliver lands one frame in its destination store and retires its
+// in-flight record.
 func (n *Network) deliver(f *netFlight) {
-	n.mu.Lock()
 	n.retire(f)
 	if f.src != "" && n.sched != nil {
 		n.nodeStats(f.src).Delivered++
 	}
-	n.mu.Unlock()
 	f.dst.Set(f.signal, f.v)
 }
 
-// retire removes a frame from the in-flight list (mu held by the caller).
+// retire removes a frame from the in-flight list.
 func (n *Network) retire(f *netFlight) {
 	for i, g := range n.inflight {
 		if g == f {
@@ -561,23 +414,16 @@ func (n *Network) retire(f *netFlight) {
 // too — the orphaned departure/delivery events die with the cleared event
 // queue.
 func (n *Network) DropInflight() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.inflight = n.inflight[:0]
-	n.pending = nil
 }
 
 // Inflight returns the number of frames queued or on the wire.
 func (n *Network) Inflight() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return len(n.inflight)
 }
 
 // Queued returns the number of frames awaiting departure in TX queues.
 func (n *Network) Queued() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	q := 0
 	for _, f := range n.inflight {
 		if f.src != "" && !f.departed {
@@ -594,8 +440,6 @@ func (n *Network) Queued() int {
 // slot owners are pre-registered at SetSchedule so their zero stats read
 // as genuine "no traffic".
 func (n *Network) Stats(node string) (BusStats, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	if st, ok := n.stats[node]; ok {
 		return *st, true
 	}
@@ -657,11 +501,6 @@ type NetworkState struct {
 // flight. It fails if a frame's destination store was never Bound — an
 // unnamed destination cannot be re-resolved at restore time.
 func (n *Network) Snapshot() (NetworkState, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if len(n.pending) > 0 {
-		return NetworkState{}, fmt.Errorf("dtm: snapshot with %d unflushed parallel deliveries (not a barrier)", len(n.pending))
-	}
 	st := NetworkState{
 		LatencyNs: n.LatencyNs, Sent: n.Sent, Dropped: n.Dropped,
 		RNG: n.rng, Sched: n.sched, DeliverySeq: n.dseq,
@@ -720,14 +559,11 @@ func (n *Network) Restore(st NetworkState) error {
 			return fmt.Errorf("dtm: restore of TDMA state with incompatible schedule (captured %s, installed %s)", want, have)
 		}
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.LatencyNs = st.LatencyNs
 	n.Sent = st.Sent
 	n.Dropped = st.Dropped
 	n.rng = st.RNG
 	n.dseq = st.DeliverySeq
-	n.pending = nil
 	n.cursor = map[string]uint64{}
 	for k, v := range st.Cursor {
 		n.cursor[k] = v
@@ -756,19 +592,14 @@ func (n *Network) Restore(st NetworkState) error {
 		n.inflight = append(n.inflight, f)
 		tdma := f.src != "" && n.sched != nil
 		if tdma && !f.departed {
-			if err := n.kernelFor(f.src).Rearm(f.departAt, f.departSeq, func(now uint64) { n.depart(f, now) }); err != nil {
+			if err := n.K.Rearm(f.departAt, f.departSeq, func(now uint64) { n.depart(f, now) }); err != nil {
 				return err
 			}
 		}
 		if !tdma || !f.lost {
 			// Deliveries re-arm with their full explicit identity (the
-			// enqueue instant is on the flight record), on the destination
-			// node's kernel in parallel mode.
-			dk := n.K
-			if name, ok := n.names[f.dst]; ok {
-				dk = n.kernelFor(name)
-			}
-			if err := dk.ScheduleAt(f.at, f.enq, f.seq, func(uint64) { n.deliver(f) }); err != nil {
+			// enqueue instant is on the flight record).
+			if err := n.K.ScheduleAt(f.at, f.enq, f.seq, func(uint64) { n.deliver(f) }); err != nil {
 				return err
 			}
 		}

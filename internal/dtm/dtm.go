@@ -41,11 +41,10 @@ func (h eventHeap) Len() int { return len(h) }
 // Less orders events by (at, schedAt, seq). For a single kernel this is
 // provably the same order as the historical (at, seq): seq is assigned in
 // execution order, so it is monotone in the schedule instant and schedAt
-// can never invert a seq comparison. The schedAt component matters for the
-// parallel cluster path, where delivery events minted on another node's
-// kernel carry their original enqueue instant and a sequence number from a
-// separate (bus) number space — (at, schedAt, seq) then reproduces the
-// serial shared-kernel interleaving.
+// can never invert a seq comparison. The schedAt component matters for
+// bus deliveries, which carry their enqueue instant and a sequence number
+// from a separate number space (DeliveryBase + n): (at, schedAt, seq)
+// places them among the kernel's own events by when they were sent.
 func (h eventHeap) Less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
@@ -113,7 +112,7 @@ type Kernel struct {
 	ran uint64
 
 	// running guards against re-entrant execution: an event callback (or a
-	// second goroutine) calling back into Step/RunUntil/RunWindow would
+	// second goroutine) calling back into Step/RunUntil would
 	// interleave two pops on one heap — silent corruption. Scheduling from
 	// inside an event stays legal; running does not.
 	running bool
@@ -163,11 +162,11 @@ func (k *Kernel) ScheduleTagged(at uint64, fn func(now uint64)) (uint64, error) 
 
 // ScheduleAt enqueues an event with an explicit (at, schedAt, seq)
 // identity, without touching the kernel's own sequence counter. This is
-// how foreign events — bus deliveries minted by another node's send —
-// enter a kernel: their ordering identity was fixed where the send
-// happened, and replaying it here reproduces the serial shared-kernel
-// interleaving. Callers own the seq number space (the network uses a
-// dedicated high range so it can never collide with kernel-assigned seqs).
+// how bus deliveries enter the kernel: their ordering identity is fixed
+// when the frame is sent and recorded in the network's snapshot, so a
+// restore re-enqueues them at the same positions. Callers own the seq
+// number space (the network uses a dedicated high range so it can never
+// collide with kernel-assigned seqs).
 func (k *Kernel) ScheduleAt(at, schedAt, seq uint64, fn func(now uint64)) error {
 	if at < k.now {
 		return fmt.Errorf("dtm: schedule at %d before now %d", at, k.now)
@@ -292,38 +291,6 @@ func (k *Kernel) RunUntil(t uint64) {
 	for len(k.pq) > 0 && k.pq[0].at <= t {
 		k.step()
 	}
-	if t > k.now {
-		k.now = t
-	}
-}
-
-// RunWindow executes pending events with at < limit (at <= limit when incl
-// is set) without advancing the clock past them, invoking onEvent with
-// each event's (at, schedAt) immediately before it runs. It is the
-// parallel cluster's per-node worker loop: onEvent publishes the node's
-// event frontier so cross-node sends can be arbitrated into virtual-time
-// order, and the exclusive limit is the conservative lookahead barrier —
-// no event at or beyond it may run before the barrier merges cross-node
-// effects. The clock is left at the last executed event (the caller
-// advances it to the barrier explicitly with AdvanceTo).
-func (k *Kernel) RunWindow(limit uint64, incl bool, onEvent func(at, schedAt uint64)) {
-	k.enter()
-	defer k.leave()
-	for len(k.pq) > 0 {
-		at := k.pq[0].at
-		if at > limit || (!incl && at == limit) {
-			return
-		}
-		if onEvent != nil {
-			onEvent(at, k.pq[0].schedAt)
-		}
-		k.step()
-	}
-}
-
-// AdvanceTo moves the clock forward to t without running anything; it is
-// the barrier half of RunWindow. Moving backwards is a no-op.
-func (k *Kernel) AdvanceTo(t uint64) {
 	if t > k.now {
 		k.now = t
 	}

@@ -109,40 +109,6 @@ func TestScheduleAtForeignIdentity(t *testing.T) {
 	}
 }
 
-// TestRunWindowBarrierSemantics: exclusive windows stop strictly below the
-// limit, the final window is inclusive, onEvent sees each event's
-// (at, schedAt) before it runs, and AdvanceTo moves the clock only forward.
-func TestRunWindowBarrierSemantics(t *testing.T) {
-	k := NewKernel()
-	var ran []uint64
-	for _, at := range []uint64{10, 20, 30} {
-		at := at
-		_ = k.Schedule(at, func(uint64) { ran = append(ran, at) })
-	}
-	var front []string
-	onEvent := func(at, schedAt uint64) { front = append(front, fmt.Sprintf("%d/%d", at, schedAt)) }
-
-	k.RunWindow(20, false, onEvent)
-	if fmt.Sprint(ran) != "[10]" {
-		t.Fatalf("exclusive window ran %v", ran)
-	}
-	if k.Now() != 10 {
-		t.Fatalf("clock %d after window (must sit at last event)", k.Now())
-	}
-	k.AdvanceTo(20)
-	k.AdvanceTo(5) // backwards: no-op
-	if k.Now() != 20 {
-		t.Fatalf("AdvanceTo left clock at %d", k.Now())
-	}
-	k.RunWindow(30, true, onEvent)
-	if fmt.Sprint(ran) != "[10 20 30]" {
-		t.Fatalf("inclusive window ran %v", ran)
-	}
-	if fmt.Sprint(front) != "[10/0 20/0 30/0]" {
-		t.Fatalf("frontier = %v", front)
-	}
-}
-
 // TestKernelReentrancyPanics: running the kernel from inside an event is
 // heap corruption waiting to happen; it must panic loudly instead.
 func TestKernelReentrancyPanics(t *testing.T) {

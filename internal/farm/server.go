@@ -54,10 +54,11 @@ type Options struct {
 	Logf func(format string, v ...any)
 	// Workers sizes the shared simulation worker pool (GOMAXPROCS when
 	// <=0). Every CPU-heavy request — run-until, step, rewind — executes
-	// on this pool, so total simulation parallelism stays bounded no
-	// matter how many clients are connected, and work stealing rebalances
-	// a session running seconds of virtual time against ones stepping a
-	// millisecond at a time.
+	// on this pool, and a session, board or cluster, simulates only on the
+	// pool goroutine serving its request. Total simulation parallelism so
+	// stays bounded no matter how many clients are connected, and work
+	// stealing rebalances a session running seconds of virtual time
+	// against ones stepping a millisecond at a time.
 	Workers int
 }
 
@@ -652,20 +653,10 @@ func (s *Server) handleCreate(raw json.RawMessage) (any, error) {
 // built-in model.
 func (s *Server) newDebugger(model string, sys *comdes.System, sc *dsl.Scenario, p CreateParams) (*repro.Core, error) {
 	if len(sys.Nodes()) > 1 {
-		exec := target.ExecAuto
-		switch p.Exec {
-		case "", "auto":
-		case "serial":
-			exec = target.ExecSerial
-		case "parallel":
-			exec = target.ExecParallel
-		default:
-			return nil, fmt.Errorf("farm: unknown exec mode %q (auto|serial|parallel)", p.Exec)
-		}
-		ccfg := repro.StandardClusterConfig(sys.Nodes(), exec)
+		ccfg := repro.StandardClusterConfig(sys.Nodes())
 		var cenv func(now uint64, node string, b *target.Board)
 		if sc != nil {
-			ccfg = sc.ClusterConfig(exec)
+			ccfg = sc.ClusterConfig()
 			cenv = sc.ClusterEnvironment()
 		}
 		cdbg, err := repro.DebugCluster(sys, repro.ClusterDebugConfig{Cluster: ccfg, Environment: cenv})

@@ -59,15 +59,14 @@ type CreateParams struct {
 	Model string `json:"model"`
 	// Checkpoint, when set, is the content address of a stored checkpoint
 	// to resume from (the digest a detach or checkpoint request returned,
-	// possibly to a different gmdfd process sharing the store).
+	// possibly to a different gmdfd process sharing the store). A cluster
+	// checkpoint written by the removed parallel executor is refused
+	// (target.ErrParallelCheckpoint).
 	Checkpoint string `json:"checkpoint,omitempty"`
 	// RecordMs, when non-zero, attaches the periodic checkpoint recorder
 	// (cadence in virtual ms) so the session supports rewind. Single-board
 	// sessions only.
 	RecordMs uint64 `json:"recordMs,omitempty"`
-	// Exec selects the cluster execution mode: "" or "auto" | "serial" |
-	// "parallel". Ignored for single-board models.
-	Exec string `json:"exec,omitempty"`
 	// Source, when non-empty, is scenario DSL text (.gmdf): the session
 	// debugs the system it declares instead of a built-in model. The
 	// server runs the full front end (parse, check, lint) and rejects the

@@ -13,20 +13,17 @@ import (
 // leaves it zero (100 µs — a time-triggered fieldbus slot).
 const DefaultLatencyNs = 100_000
 
-// ExecMode selects how Cluster.RunUntil advances the nodes.
+// ExecMode once selected between two cluster executors.
+//
+// Deprecated: a cluster has one executor; the value is ignored.
 type ExecMode uint8
 
-// Execution modes.
+// Former execution modes.
+//
+// Deprecated: a cluster has one executor; the values are ignored.
 const (
-	// ExecAuto picks parallel when a TDMA bus schedule is installed (its
-	// slot grid provides the conservative lookahead windows), serial for
-	// constant-latency clusters — the seed behaviour for those.
 	ExecAuto ExecMode = iota
-	// ExecSerial drains a single shared kernel on the calling goroutine.
 	ExecSerial
-	// ExecParallel runs each node's kernel on its own goroutine between
-	// delivery-bound barriers; traces, goldens and checkpoints are
-	// byte-identical to ExecSerial.
 	ExecParallel
 )
 
@@ -50,9 +47,6 @@ type ClusterConfig struct {
 	// Board is the per-node board configuration (baud, CPU clock); the
 	// system's bindings are appended automatically.
 	Board Config
-	// Exec selects serial or parallel node execution (default ExecAuto:
-	// parallel with a Bus schedule, serial without).
-	Exec ExecMode
 }
 
 // Target is the debug target every layer above this package drives: a
@@ -79,10 +73,9 @@ var (
 // sharing a single virtual clock, with cross-node signal bindings carried
 // by a latency network.
 type Cluster struct {
-	// Kernel is the shared discrete-event clock. In parallel mode it holds
-	// no events — each board runs on its own kernel (kernels) — but it
-	// still carries the cluster-level notion of "now", advanced at every
-	// barrier, so Now() and the host session are mode-agnostic.
+	// Kernel is the shared discrete-event clock: every board's releases,
+	// deadlines and slices and every network departure and delivery run
+	// on it, in one global (at, schedAt, seq) order.
 	Kernel *dtm.Kernel
 	// Net carries cross-node signal messages (Net.Sent counts them).
 	Net *dtm.Network
@@ -92,15 +85,9 @@ type Cluster struct {
 	nodes []string
 	inbox map[string]*dtm.Store
 
-	// parallel is set when nodes execute on per-node kernels between
-	// delivery-bound barriers; kernels maps node -> its kernel (same
-	// iteration identity as nodes).
-	parallel bool
-	kernels  map[string]*dtm.Kernel
-	arb      *arbiter
 	// running guards RunUntil against re-entrant calls (from an event
-	// callback or a second goroutine) — on the serial path that would
-	// corrupt the shared event heap, on the parallel path the worker pool.
+	// callback or a second goroutine), which would corrupt the shared
+	// event heap.
 	running bool
 }
 
@@ -116,24 +103,11 @@ func BuildCluster(sys *comdes.System, cfg ClusterConfig) (*Cluster, error) {
 	}
 	k := dtm.NewKernel()
 	c := &Cluster{
-		Kernel:   k,
-		Net:      dtm.NewNetwork(k, cfg.LatencyNs),
-		Boards:   map[string]*Board{},
-		nodes:    sys.Nodes(),
-		inbox:    map[string]*dtm.Store{},
-		parallel: cfg.Exec == ExecParallel || (cfg.Exec == ExecAuto && cfg.Bus != nil),
-	}
-	if c.parallel {
-		// One kernel per node: boards, their schedulers and the network
-		// events they own advance independently between barriers. The
-		// shared Kernel keeps the cluster clock only.
-		c.kernels = make(map[string]*dtm.Kernel, len(c.nodes))
-		for _, node := range c.nodes {
-			c.kernels[node] = dtm.NewKernel()
-		}
-		c.Net.SetNodeKernels(c.kernels)
-		c.arb = newArbiter(c.nodes)
-		c.Net.OnSend = c.arb.await
+		Kernel: k,
+		Net:    dtm.NewNetwork(k, cfg.LatencyNs),
+		Boards: map[string]*Board{},
+		nodes:  sys.Nodes(),
+		inbox:  map[string]*dtm.Store{},
 	}
 	if cfg.Bus != nil {
 		if err := c.Net.SetSchedule(cfg.Bus); err != nil {
@@ -165,7 +139,7 @@ func BuildCluster(sys *comdes.System, cfg ClusterConfig) (*Cluster, error) {
 		}
 		bcfg := cfg.Board
 		bcfg.Bindings = append(append([]comdes.Binding(nil), bcfg.Bindings...), sys.Bindings...)
-		brd, err := NewBoard(node, prog, bcfg, c.nodeKernel(node))
+		brd, err := NewBoard(node, prog, bcfg, k)
 		if err != nil {
 			return nil, fmt.Errorf("target: node %s: %w", node, err)
 		}
@@ -180,7 +154,7 @@ func BuildCluster(sys *comdes.System, cfg ClusterConfig) (*Cluster, error) {
 	for _, node := range c.nodes {
 		node := node
 		brd := c.Boards[node]
-		store := dtm.NewStore(c.nodeKernel(node).Now)
+		store := dtm.NewStore(k.Now)
 		store.OnChange = func(now uint64, signal string, old, new value.Value) {
 			for _, bind := range sys.Bindings {
 				if bind.Signal != signal || sys.NodeOf(bind.ToActor) != node {
@@ -244,19 +218,6 @@ func BuildCluster(sys *comdes.System, cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// nodeKernel returns the kernel node's events run on: its own kernel in
-// parallel mode, the shared one otherwise.
-func (c *Cluster) nodeKernel(node string) *dtm.Kernel {
-	if c.parallel {
-		return c.kernels[node]
-	}
-	return c.Kernel
-}
-
-// Parallel reports whether nodes execute on per-node kernels between
-// delivery-bound barriers.
-func (c *Cluster) Parallel() bool { return c.parallel }
-
 // BusStats returns node's TX accounting on the time-triggered bus. ok is
 // false when the node is unknown to the bus (no schedule installed, or a
 // node owning no slot that never sent) — previously that case returned a
@@ -271,21 +232,16 @@ func (c *Cluster) Now() uint64 { return c.Kernel.Now() }
 
 // RunUntil advances the whole cluster to absolute time t, executing every
 // board's releases, deadlines and network deliveries in global event
-// order, then drains each board's UART boundary work. Serial and parallel
-// modes produce byte-identical traces; re-entrant calls (from an event
-// callback or a second goroutine) panic rather than corrupt the event
-// heap or the worker pool.
+// order on the shared kernel, then drains each board's UART boundary
+// work. Re-entrant calls (from an event callback or a second goroutine)
+// panic rather than corrupt the event heap.
 func (c *Cluster) RunUntil(t uint64) {
 	if c.running {
 		panic("target: re-entrant Cluster.RunUntil")
 	}
 	c.running = true
 	defer func() { c.running = false }()
-	if c.parallel {
-		c.runParallel(t)
-	} else {
-		c.Kernel.RunUntil(t)
-	}
+	c.Kernel.RunUntil(t)
 	for _, node := range c.nodes {
 		c.Boards[node].sync(t)
 	}

@@ -179,74 +179,19 @@
 // BuildCluster places a multi-node system (comdes Placement) onto one
 // Board per node, all sharing a single virtual clock. Cross-node signal
 // bindings travel over a dtm.Network; intra-node bindings are delivered
-// directly at the producer's deadline instant. RunUntil advances every
-// board in global event order — on one shared kernel (serial) or on
-// per-node kernels between conservative barriers (parallel, below); the
-// two produce byte-identical traces.
-//
-// # Parallel execution
-//
-// ClusterConfig.Exec selects how RunUntil advances the nodes. ExecAuto
-// (the default) picks parallel when a Bus schedule is installed — its slot
-// grid provides the lookahead — and serial for constant-latency clusters,
-// the seed behaviour. ExecSerial and ExecParallel force either mode on any
-// configuration (a constant-latency cluster parallelises too: its
-// lookahead is LatencyNs).
-//
-// Parallel mode is conservative parallel discrete-event simulation: each
-// node owns a dtm.Kernel and a worker goroutine; RunUntil advances all of
-// them concurrently through windows [start, H) where H =
-// Network.DeliveryBound(start), the earliest instant any not-yet-submitted
-// frame could arrive anywhere. Cross-node sends are arbitrated into serial
-// virtual-time order (each worker publishes its event frontier; a send
-// waits until no live node could still execute an earlier event), minted
-// deliveries are buffered, and the barrier joins the workers, flushes the
-// deliveries into the destination kernels and advances every clock to H.
-//
-// The semantics matrix:
-//
-//	aspect                serial (shared kernel)      parallel (per-node kernels)
-//	event order           one heap, (at, schedAt,     per-node heaps; cross-node
-//	                      seq) order                  effects merged at barriers with
-//	                                                  their original (at, schedAt, seq)
-//	                                                  identity, so traces, goldens and
-//	                                                  stats are byte-identical
-//	shared-state draws    heap order                  send arbitration: RNG, slot
-//	(jitter/loss RNG,                                 cursors and delivery numbering
-//	slot cursors)                                     are claimed in exactly the serial
-//	                                                  order
-//	equal-instant ties    (at, schedAt, seq) — seq    the send frontier carries
-//	                      assigned at schedule time   (at, schedAt); seq is per-kernel
-//	                                                  and incomparable across nodes, so
-//	                                                  a full-prefix tie falls back to
-//	                                                  sorted node order — identical to
-//	                                                  serial for release chains
-//	                                                  grounding out in Start() (which
-//	                                                  schedules nodes in sorted order);
-//	                                                  an asymmetric schedule chain
-//	                                                  colliding at equal (at, schedAt)
-//	                                                  is the one construction that
-//	                                                  could diverge
-//	halt / step / host    immediate — everything      workers exist only inside a
-//	tooling               runs on the caller          RunUntil call, so every RunUntil
-//	                                                  boundary is fully quiescent;
-//	                                                  debugger halt/step/rewind slices
-//	                                                  (repro.DebugCluster) need no
-//	                                                  extra synchronisation
-//	re-entrant RunUntil   panics (would corrupt       panics (would corrupt the worker
-//	                      the event heap)             pool); same guard, both modes
-//	checkpoints           shared kernel in            facade clock in ClusterState.
-//	                      ClusterState.Kernel         Kernel, one kernel per board in
-//	                                                  BoardState.Kernel; snapshots at
-//	                                                  RunUntil boundaries (quiescent);
-//	                                                  cross-mode restore is refused
-//	Board.RunFor          standalone boards only      unchanged — cluster nodes are
-//	                                                  driven through Cluster.RunUntil
-//	                                                  in both modes
-//	zero lookahead        n/a                         panics ("window without
-//	                                                  lookahead"); unreachable from
-//	                                                  BuildCluster, which defaults
-//	                                                  LatencyNs
+// directly at the producer's deadline instant. Every board's releases,
+// deadlines and slices and every network departure and delivery are
+// events on the cluster's one dtm.Kernel, and RunUntil drains it on the
+// calling goroutine in (at, schedAt, seq) order. An equal-instant tie
+// across nodes therefore resolves exactly as it would on one board, and
+// bus deliveries carry an explicit (arrival, enqueue instant, DeliveryBase
+// + n) identity that the checkpoint records. Every RunUntil boundary is
+// quiescent, so halt, step, rewind and snapshot need no synchronisation;
+// a ClusterState holds the shared kernel once (ClusterState.Kernel) and no
+// per-board kernel. A re-entrant RunUntil panics rather than corrupt the
+// heap. Restore refuses checkpoints written by the removed parallel
+// executor, whose pending events sit on per-node kernels
+// (ErrParallelCheckpoint).
 //
 // # Time-triggered bus
 //
@@ -404,9 +349,9 @@
 //	            returned; without, the
 //	            state is dropped
 //	migrate     detach(checkpoint) in       identical — cluster checkpoints
-//	            process A, create(digest)   refuse only cross-exec-mode
-//	            in process B sharing the    restores (serial vs parallel
-//	            store directory; the        kernel shapes differ)
+//	            process A, create(digest)   written by the removed parallel
+//	            in process B sharing the    executor are refused
+//	            store directory; the        (ErrParallelCheckpoint)
 //	            digest verifies on fetch
 //	            (re-hash), so a corrupt
 //	            store entry fails loudly

@@ -1,6 +1,7 @@
 package target
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -287,16 +288,21 @@ func (b *Board) restoreLocal(st *BoardState) error {
 	return nil
 }
 
+// ErrParallelCheckpoint refuses a cluster checkpoint written by the
+// removed parallel executor. Such a checkpoint keeps every node's pending
+// events on a per-node kernel (BoardState.Kernel) and leaves the shared
+// kernel empty, so resuming it on the one shared kernel would silently
+// drop them.
+var ErrParallelCheckpoint = errors.New("target: checkpoint was written by the parallel cluster executor, which has been removed; re-record it")
+
 // ClusterState composes per-node board snapshots with the shared kernel,
 // the network frames in flight, and each node's inbox store — so a
 // distributed run restores coherently: every board, every cross-node
 // signal mid-hop, and the global clock rewind together.
 type ClusterState struct {
-	// Parallel records the execution mode the snapshot was taken under. A
-	// parallel snapshot carries one kernel per board (BoardState.Kernel)
-	// plus the facade clock in Kernel; a serial snapshot carries the single
-	// shared kernel in Kernel and nil per-board kernels. Restoring across
-	// modes is rejected — the pending events would land on the wrong clocks.
+	// Parallel marks a checkpoint written by the removed parallel
+	// executor. It is never set on a new snapshot; Restore refuses a
+	// state that carries it (ErrParallelCheckpoint).
 	Parallel bool                      `json:"parallel,omitempty"`
 	Kernel   dtm.KernelState           `json:"kernel"`
 	Net      dtm.NetworkState          `json:"net"`
@@ -304,30 +310,22 @@ type ClusterState struct {
 	Inboxes  map[string]dtm.StoreState `json:"inboxes,omitempty"`
 }
 
-// Snapshot captures the whole cluster at a RunUntil boundary. In parallel
-// mode every RunUntil return is a barrier (workers joined, deliveries
-// flushed, all clocks at the horizon), so the same boundary contract
-// applies; each node's kernel is captured into its BoardState.
+// Snapshot captures the whole cluster at a RunUntil boundary.
 func (c *Cluster) Snapshot() (*ClusterState, error) {
 	net, err := c.Net.Snapshot()
 	if err != nil {
 		return nil, err
 	}
 	st := &ClusterState{
-		Parallel: c.parallel,
-		Kernel:   c.Kernel.Snapshot(),
-		Net:      net,
-		Boards:   map[string]*BoardState{},
-		Inboxes:  map[string]dtm.StoreState{},
+		Kernel:  c.Kernel.Snapshot(),
+		Net:     net,
+		Boards:  map[string]*BoardState{},
+		Inboxes: map[string]dtm.StoreState{},
 	}
 	for _, node := range c.nodes {
 		bs, err := c.Boards[node].snapshotLocal()
 		if err != nil {
 			return nil, fmt.Errorf("target: node %s: %w", node, err)
-		}
-		if c.parallel {
-			ks := c.kernels[node].Snapshot()
-			bs.Kernel = &ks
 		}
 		st.Boards[node] = bs
 		st.Inboxes[node] = c.inbox[node].Snapshot()
@@ -341,29 +339,17 @@ func (c *Cluster) Snapshot() (*ClusterState, error) {
 // sequence positions, so the merged event order across nodes replays
 // exactly.
 func (c *Cluster) Restore(st *ClusterState) error {
+	if st.Parallel {
+		return ErrParallelCheckpoint
+	}
 	if len(st.Boards) != len(c.nodes) {
 		return fmt.Errorf("target: restore of %d-node state onto %d-node cluster", len(st.Boards), len(c.nodes))
-	}
-	if st.Parallel != c.parallel {
-		mode := func(p bool) string {
-			if p {
-				return "parallel"
-			}
-			return "serial"
-		}
-		return fmt.Errorf("target: restore of %s-mode snapshot onto %s-mode cluster (set ClusterConfig.Exec to match)", mode(st.Parallel), mode(c.parallel))
 	}
 	c.Kernel.Restore(st.Kernel)
 	for _, node := range c.nodes {
 		bs, ok := st.Boards[node]
 		if !ok {
 			return fmt.Errorf("target: restore state missing node %q", node)
-		}
-		if c.parallel {
-			if bs.Kernel == nil {
-				return fmt.Errorf("target: parallel restore: node %s snapshot carries no kernel", node)
-			}
-			c.kernels[node].Restore(*bs.Kernel)
 		}
 		if err := c.Boards[node].restoreLocal(bs); err != nil {
 			return fmt.Errorf("target: node %s: %w", node, err)

@@ -311,8 +311,8 @@ func Distributed() (*comdes.System, error) {
 // distributed deployment where every node both produces and consumes a
 // cross-node signal, so a TDMA schedule gives each node a slot. Node names
 // are zero-padded (node00, node01, ...) so sorted node order equals ring
-// order; n is capped at two digits. It is the scale model for the parallel
-// cluster execution benchmark.
+// order; n is capped at two digits. It is the scale model for the cluster
+// execution benchmark (BenchmarkClusterRun/ring32).
 func RingCluster(n int) (*comdes.System, error) {
 	if n > 99 {
 		return nil, fmt.Errorf("models: ring cluster supports at most 99 nodes (zero-padded names)")
