@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
+	"repro/internal/comdes"
 	"repro/internal/dtm"
 	"repro/internal/engine"
 	"repro/internal/protocol"
@@ -470,6 +471,81 @@ func BenchmarkRestore(b *testing.B) {
 		if err := dbg.RestoreCheckpoint(cp); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCheckpointCodec times the serialized form both ways on the
+// three checkpoint shapes the farm stores: ring over the saturated active
+// UART (the per-byte in-flight queue is the bulk), dist at 200 ms (the
+// cluster form, the trace is the bulk) and heating over passive JTAG at
+// 200 ms (the watcher cache, no command channel). marshal is Store.Put's
+// cost, decode is Store.Get's.
+func BenchmarkCheckpointCodec(b *testing.B) {
+	take := func(run func(time.Duration) error, cp func() (*checkpoint.Checkpoint, error), d time.Duration) []byte {
+		if err := run(d); err != nil {
+			b.Fatal(err)
+		}
+		c, err := cp()
+		if err != nil {
+			b.Fatal(err)
+		}
+		raw, err := c.Marshal()
+		if err != nil {
+			b.Fatal(err)
+		}
+		return raw
+	}
+	model := func(name string) *comdes.System {
+		sys, err := models.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return sys
+	}
+	ring, err := Debug(model("ring"), DebugConfig{Transport: Active})
+	if err != nil {
+		b.Fatal(err)
+	}
+	heating, err := Debug(model("heating"), DebugConfig{Transport: Passive, Environment: StandardEnvironment("heating")})
+	if err != nil {
+		b.Fatal(err)
+	}
+	distSys := model("dist")
+	dist, err := DebugCluster(distSys, ClusterDebugConfig{Cluster: StandardClusterConfig(distSys.Nodes())})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		raw  []byte
+	}{
+		{"ring-active-saturated", take(ring.Run, ring.Checkpoint, 500*time.Millisecond)},
+		{"dist-200ms", take(dist.Run, dist.Checkpoint, 200*time.Millisecond)},
+		{"heating-passive-200ms", take(heating.Run, heating.Checkpoint, 200*time.Millisecond)},
+	}
+	for _, tc := range cases {
+		cp, err := checkpoint.Decode(bytes.NewReader(tc.raw))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name+"/marshal", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(tc.raw)))
+			for i := 0; i < b.N; i++ {
+				if _, err := cp.Marshal(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(tc.name+"/decode", func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(tc.raw)))
+			for i := 0; i < b.N; i++ {
+				if _, err := checkpoint.Decode(bytes.NewReader(tc.raw)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

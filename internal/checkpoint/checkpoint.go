@@ -26,13 +26,26 @@
 // and instructions the host sends over the wire. Host-side interactive
 // actions that never touch the wire (host-side Step on a passive session)
 // are outside the replay contract.
+//
+// Serialized form: a checkpoint's canonical bytes are exactly what
+// json.Encoder.Encode writes for it, trailing newline included, and their
+// SHA-256 is its content address (Digest, the farm's checkpoint store).
+// The codec in codec.go writes those bytes in one pass and reads them
+// back in one pass. Its fast path is exact: it accepts only the canonical
+// form, and any other input — whitespace, other key orders, unknown or
+// case-folded keys, null, lone surrogates, malformed data — goes to
+// encoding/json, so the accepted inputs, the values and the errors are
+// encoding/json's (FuzzCheckpointCodec pins both directions). The bulk
+// of a checkpoint is the per-byte serial in-flight queue (one {"b","at"}
+// entry per byte on a saturated UART) and the trace records; the sha256
+// pins on the ring, heating and dist checkpoints fail on any byte the
+// codec moves.
 package checkpoint
 
 import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -109,31 +122,34 @@ func (c *Checkpoint) Clone() *Checkpoint {
 
 // Encode writes the checkpoint's serialized form.
 func (c *Checkpoint) Encode(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(c)
+	return c.canonical(func(b []byte) error {
+		_, err := w.Write(b)
+		return err
+	})
 }
 
-// Decode reads a checkpoint written by Encode.
+// Decode reads a checkpoint written by Encode (see Unmarshal).
 func Decode(r io.Reader) (*Checkpoint, error) {
-	var c Checkpoint
-	if err := json.NewDecoder(r).Decode(&c); err != nil {
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok {
+		buf.Grow(l.Len() + bytes.MinRead) // read in one piece
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("checkpoint: decode: %w", err)
 	}
-	if c.Version != Version {
-		return nil, fmt.Errorf("checkpoint: unsupported version %d (want %d)", c.Version, Version)
-	}
-	return &c, nil
+	return Unmarshal(buf.Bytes())
 }
 
 // Marshal returns the checkpoint's canonical serialized form — the exact
 // bytes Encode writes. Content addressing (Digest, the farm's checkpoint
 // store) hashes these bytes, so Marshal is the one serialization path.
 func (c *Checkpoint) Marshal() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := c.Encode(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	var out []byte
+	err := c.canonical(func(b []byte) error {
+		out = bytes.Clone(b)
+		return nil
+	})
+	return out, err
 }
 
 // DigestBytes is the content address of a serialized checkpoint: the hex
@@ -148,34 +164,26 @@ func DigestBytes(b []byte) string {
 // store keyed by Digest deduplicates repeated captures for free and a
 // reader can verify integrity by re-hashing what it fetched.
 func (c *Checkpoint) Digest() (string, error) {
-	b, err := c.Marshal()
-	if err != nil {
-		return "", err
-	}
-	return DigestBytes(b), nil
+	var d string
+	err := c.canonical(func(b []byte) error {
+		d = DigestBytes(b)
+		return nil
+	})
+	return d, err
 }
 
 // WriteFile serializes the checkpoint to a file.
 func (c *Checkpoint) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := c.Encode(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return c.canonical(func(b []byte) error { return os.WriteFile(path, b, 0o666) })
 }
 
 // ReadFile deserializes a checkpoint from a file.
 func ReadFile(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return Decode(f)
+	return Unmarshal(raw)
 }
 
 // Capture snapshots a debug target plus the host session attached to it.

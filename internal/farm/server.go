@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/bits"
 	"net"
 	"net/http"
@@ -33,7 +34,8 @@ const DefaultMaxSessions = 1024
 const DefaultMaxSourceBytes = 256 << 10
 
 // attachSampleCap bounds the retained attach-latency samples used for
-// percentiles (the log2 bucket histogram is unbounded).
+// percentiles: the most recent ones are kept (the log2 bucket histogram
+// counts every attach).
 const attachSampleCap = 8192
 
 // Options parameterises a Server.
@@ -94,7 +96,7 @@ type statsCounters struct {
 	requests       uint64
 	events         uint64
 	incidents      uint64
-	attach         []uint64 // latency samples, ns
+	attach         []uint64 // the latest attachSampleCap latencies, ns (a ring)
 	attachBuckets  [32]uint64
 	attachMax      uint64
 	attachCount    uint64
@@ -107,6 +109,8 @@ func (sc *statsCounters) recordAttach(d time.Duration) {
 	sc.attachCount++
 	if len(sc.attach) < attachSampleCap {
 		sc.attach = append(sc.attach, ns)
+	} else {
+		sc.attach[(sc.attachCount-1)%attachSampleCap] = ns
 	}
 	if ns > sc.attachMax {
 		sc.attachMax = ns
@@ -390,7 +394,11 @@ func (s *Server) dispatch(c *conn, req *Request) (any, error) {
 		}
 		until := p.UntilNs
 		if until == 0 {
-			until = ss.dbg.Now() + p.Ms*1_000_000
+			now := ss.dbg.Now()
+			if p.Ms > (math.MaxUint64-now)/1_000_000 {
+				return nil, fmt.Errorf("farm: run-for %d ms from %d ns overflows the virtual clock", p.Ms, now)
+			}
+			until = now + p.Ms*1_000_000
 		}
 		var err error
 		if until > ss.dbg.Now() {
@@ -440,6 +448,9 @@ func (s *Server) dispatch(c *conn, req *Request) (any, error) {
 		}
 		toNs := p.ToNs
 		if toNs == 0 {
+			if p.ToMs > math.MaxUint64/1_000_000 {
+				return nil, fmt.Errorf("farm: rewind to %d ms overflows the virtual clock", p.ToMs)
+			}
 			toNs = p.ToMs * 1_000_000
 		}
 		var landed uint64

@@ -55,8 +55,10 @@ func (st *Store) Put(cp *checkpoint.Checkpoint) (string, int, error) {
 	}
 	st.mu.Unlock()
 	if st.dir != "" && !have {
+		// Write the entry unless the file already holds these bytes: a
+		// missing or corrupted file is (re)written, so Put repairs it.
 		path := filepath.Join(st.dir, digest+".cp")
-		if _, err := os.Stat(path); os.IsNotExist(err) {
+		if old, err := os.ReadFile(path); err != nil || !bytes.Equal(old, raw) {
 			tmp := path + ".tmp"
 			if err := os.WriteFile(tmp, raw, 0o644); err != nil {
 				return "", 0, fmt.Errorf("farm: store write: %w", err)
@@ -77,25 +79,29 @@ func (st *Store) Get(digest string) (*checkpoint.Checkpoint, error) {
 		return nil, fmt.Errorf("farm: malformed checkpoint digest %q", digest)
 	}
 	st.mu.Lock()
-	raw, ok := st.mem[digest]
+	raw, cached := st.mem[digest]
 	st.mu.Unlock()
-	if !ok && st.dir != "" {
+	if !cached {
+		if st.dir == "" {
+			return nil, fmt.Errorf("farm: no checkpoint %s in store", digest[:12])
+		}
 		b, err := os.ReadFile(filepath.Join(st.dir, digest+".cp"))
 		if err != nil {
 			return nil, fmt.Errorf("farm: checkpoint %s: %w", digest[:12], err)
 		}
-		raw, ok = b, true
-		st.mu.Lock()
-		st.mem[digest] = raw
-		st.mu.Unlock()
-	}
-	if !ok {
-		return nil, fmt.Errorf("farm: no checkpoint %s in store", digest[:12])
+		raw = b
 	}
 	if got := checkpoint.DigestBytes(raw); got != digest {
 		return nil, fmt.Errorf("farm: checkpoint %s corrupted (content hashes to %s)", digest[:12], got[:12])
 	}
-	return checkpoint.Decode(bytes.NewReader(raw))
+	if !cached {
+		// Cache only verified bytes: a corrupted file must not shadow the
+		// correct entry a later Put brings.
+		st.mu.Lock()
+		st.mem[digest] = raw
+		st.mu.Unlock()
+	}
+	return checkpoint.Unmarshal(raw)
 }
 
 // Len reports the number of distinct entries this process knows about
