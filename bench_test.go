@@ -211,17 +211,13 @@ func BenchmarkE6_WorkflowSteps(b *testing.B) {
 // table are asserted in internal/experiments; this measures host cost.
 func BenchmarkE7_Target(b *testing.B) {
 	configs := []struct {
-		name    string
-		opts    codegen.Options
-		jtag    bool
-		backend target.Backend
+		name string
+		opts codegen.Options
+		jtag bool
 	}{
-		{"clean", codegen.Options{}, false, target.BackendAuto},
-		// The same workload forced onto the Step interpreter: the perf gate's
-		// before/after pair for the threaded dispatch backend.
-		{"clean-interp", codegen.Options{}, false, target.BackendInterp},
-		{"active", codegen.Options{Instrument: codegen.Instrument{StateEnter: true, Transitions: true, Signals: true}}, false, target.BackendAuto},
-		{"passive", codegen.Options{}, true, target.BackendAuto},
+		{"clean", codegen.Options{}, false},
+		{"active", codegen.Options{Instrument: codegen.Instrument{StateEnter: true, Transitions: true, Signals: true}}, false},
+		{"passive", codegen.Options{}, true},
 	}
 	for _, cfg := range configs {
 		b.Run(cfg.name, func(b *testing.B) {
@@ -230,7 +226,7 @@ func BenchmarkE7_Target(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			brd, err := target.NewBoard("main", prog, target.Config{Bindings: sys.Bindings, Backend: cfg.backend}, nil)
+			brd, err := target.NewBoard("main", prog, target.Config{Bindings: sys.Bindings}, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

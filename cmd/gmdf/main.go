@@ -97,7 +97,7 @@ func writeHeapProfile(path string) error {
 // the binary end to end without forking.
 func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("gmdf", flag.ContinueOnError)
-	model := fs.String("model", "heating", "built-in model (heating|traffic|ring|dist) or COMDES model XML path; a placed multi-node model (dist) debugs as a cluster on a TDMA bus")
+	model := fs.String("model", "heating", "built-in model ("+strings.Join(models.Names(), "|")+") or COMDES model XML path; a placed multi-node model (dist) debugs as a cluster on a TDMA bus")
 	scenario := fs.String("scenario", "", "scenario DSL file (.gmdf) to debug instead of -model; the source runs the full front end (parse, check, lint) and any finding prints as file:line:col with a caret excerpt")
 	checkOnly := fs.Bool("check", false, "with -scenario: run the front end and print diagnostics, then exit without debugging (non-zero exit on errors)")
 	transport := fs.String("transport", "active", "command interface: active (RS-232) | passive (JTAG)")
@@ -110,7 +110,6 @@ func run(args []string, out io.Writer) (err error) {
 	restoreIn := fs.String("restore", "", "restore a checkpoint taken from a run of the same model, then continue for -ms (models with stateful environments need the in-process recorder instead)")
 	rewindMs := fs.Uint64("rewind", 0, "after the run, rewind the session to this virtual millisecond and report the state there (enables periodic checkpointing)")
 	traceOut := fs.String("trace", "", "write the stable-format session trace here (checkpoint-replay determinism diffs)")
-	backend := fs.String("backend", "auto", "VM dispatch backend: auto|threaded (direct-threaded compiled bodies, the default) | interp (per-instruction interpreter escape hatch); both are bit-identical, threaded is faster")
 	connect := fs.String("connect", "", "drive a session on a gmdfd farm server at this address instead of an in-process board")
 	resume := fs.String("resume", "", "with -connect: resume a session from this checkpoint digest in the server's store")
 	detach := fs.Bool("detach", false, "with -connect: detach with a checkpoint after the run and print its digest")
@@ -142,10 +141,6 @@ func run(args []string, out io.Writer) (err error) {
 			err = perr
 		}
 	}()
-	be, err := target.ParseBackend(*backend)
-	if err != nil {
-		return err
-	}
 
 	// The scenario front end runs before anything else: parse, check and
 	// lint the DSL source, print every finding (warnings included) with
@@ -188,8 +183,35 @@ func run(args []string, out io.Writer) (err error) {
 		}
 	}
 
-	if *stats && (*campaignN > 0 || *connect != "") {
-		return fmt.Errorf("-stats reports in-process debug sessions; it does not combine with -campaign or -connect")
+	// A flag the chosen mode would not read is an error, not a no-op.
+	if *connect != "" {
+		for _, f := range []struct {
+			name string
+			set  bool
+		}{
+			{"-transport passive", *transport == "passive"},
+			{"-restore", *restoreIn != ""},
+			{"-checkpoint", *checkpointOut != ""},
+			{"-rewind", *rewindMs > 0},
+			{"-svg", *svgOut != ""},
+			{"-gdm", *gdmOut != ""},
+			{"-stats", *stats},
+		} {
+			if f.set {
+				return fmt.Errorf("%s applies to in-process debug sessions; it does not combine with -connect", f.name)
+			}
+		}
+		if *digestOut != "" && !*detach {
+			return fmt.Errorf("-digest-out writes the digest of -detach; it needs -detach")
+		}
+	} else if *resume != "" || *detach || *digestOut != "" {
+		return fmt.Errorf("-resume, -detach and -digest-out drive a farm session; they need -connect")
+	}
+	if *transport != "active" && *transport != "passive" {
+		return fmt.Errorf("unknown -transport %q (active|passive)", *transport)
+	}
+	if *stats && *campaignN > 0 {
+		return fmt.Errorf("-stats reports in-process debug sessions; it does not combine with -campaign")
 	}
 	if *campaignN > 0 {
 		if sc != nil {
@@ -220,14 +242,15 @@ func run(args []string, out io.Writer) (err error) {
 		return runRemote(out, ro)
 	}
 
-	var sys *comdes.System
-	if sc != nil {
-		sys = sc.Sys
-	} else if sys, err = loadSystem(*model); err != nil {
-		return err
+	if sc == nil {
+		sys, err := loadSystem(*model)
+		if err != nil {
+			return err
+		}
+		sc = dsl.Standard(sys)
 	}
 	meta := comdes.Metamodel()
-	mod, err := comdes.ToModel(sys, meta)
+	mod, err := comdes.ToModel(sc.Sys, meta)
 	if err != nil {
 		return err
 	}
@@ -266,64 +289,34 @@ func run(args []string, out io.Writer) (err error) {
 		fmt.Fprintf(out, "wrote %s (%d bytes)\n", *gdmOut, len(data))
 	}
 
-	o := sessionOpts{
-		transport: *transport, budgetNs: budgetNs, rewindMs: *rewindMs,
-		breakMachine: *breakMachine, breakState: *breakState,
-		traceOut: *traceOut, checkpointOut: *checkpointOut, restoreIn: *restoreIn,
-		svgOut: *svgOut, stats: *stats,
-	}
-
-	// A placed multi-node model debugs distributed: one board per node on
-	// a shared clock, cross-node signals on a time-triggered TDMA bus, one
-	// session over every node's active interface. The bus parameters are
-	// the repro.StandardBus schedule for built-in models, the scenario's
-	// bus declaration for -scenario, and fixed per invocation so every run
-	// of the same model is byte-deterministic (the CI replay jobs diff
-	// traces across processes).
-	if len(sys.Nodes()) > 1 {
-		if *breakMachine != "" || *breakState != "" {
-			return fmt.Errorf("-break-machine/-break-state are not supported on multi-node models yet")
-		}
-		if *transport == "passive" {
-			return fmt.Errorf("multi-node models debug over every node's active interface; -transport passive is not supported")
-		}
-		ccfg := repro.StandardClusterConfig(sys.Nodes())
-		var cenv func(now uint64, node string, b *target.Board)
-		if sc != nil {
-			ccfg = sc.ClusterConfig()
-			cenv = sc.ClusterEnvironment()
-		}
-		ccfg.Board.Backend = be
-		dbg, err := repro.DebugCluster(sys, repro.ClusterDebugConfig{Cluster: ccfg, Environment: cenv})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "cluster: %v on a %.0f µs TDMA cycle (%.1f%% loss, %.0f µs release jitter)\n",
-			dbg.Cluster.Nodes(), float64(ccfg.Bus.CycleNs())/1000,
-			float64(ccfg.Bus.LossPerMille)/10, float64(ccfg.Bus.JitterNs)/1000)
-		return debugSession(out, &dbg.Core, nil, o)
-	}
-
-	// Step 5 via the facade (compile + board + channel + session).
+	// Step 5: the scenario resolves the target. A placed multi-node model
+	// debugs distributed — one board per node on a shared clock, cross-node
+	// signals on a time-triggered TDMA bus, one session over every node's
+	// active interface — with a bus schedule fixed per scenario, so every
+	// run of the same model is byte-deterministic.
 	tp := repro.Active
 	if *transport == "passive" {
 		tp = repro.Passive
 	}
-	bcfg := repro.StandardBoardConfig(sys.Name())
-	envFn := repro.StandardEnvironment(sys.Name())
-	if sc != nil {
-		bcfg, envFn = sc.BoardConfig(), sc.Environment()
-	}
-	bcfg.Backend = be
-	dbg, err := repro.Debug(sys, repro.DebugConfig{
-		Transport:   tp,
-		Environment: envFn,
-		Board:       bcfg,
-	})
+	dbg, bd, err := sc.Open(tp, nil)
 	if err != nil {
 		return err
 	}
-	return debugSession(out, &dbg.Core, dbg, o)
+	if cl, ok := dbg.Target().(*target.Cluster); ok {
+		if *breakMachine != "" || *breakState != "" {
+			return fmt.Errorf("-break-machine/-break-state are not supported on multi-node models yet")
+		}
+		bus := cl.Net.Schedule()
+		fmt.Fprintf(out, "cluster: %v on a %.0f µs TDMA cycle (%.1f%% loss, %.0f µs release jitter)\n",
+			cl.Nodes(), float64(bus.CycleNs())/1000,
+			float64(bus.LossPerMille)/10, float64(bus.JitterNs)/1000)
+	}
+	return debugSession(out, dbg, bd, sessionOpts{
+		transport: *transport, budgetNs: budgetNs, rewindMs: *rewindMs,
+		breakMachine: *breakMachine, breakState: *breakState,
+		traceOut: *traceOut, checkpointOut: *checkpointOut, restoreIn: *restoreIn,
+		svgOut: *svgOut, stats: *stats,
+	})
 }
 
 // sessionOpts is the in-process debugging configuration.
@@ -607,9 +600,9 @@ type remoteOpts struct {
 
 // runRemote drives one session on a gmdfd farm server: create (or resume
 // from a checkpoint digest), optionally break, run the budget, fetch the
-// trace, optionally detach with a checkpoint. The server builds the same
-// system, environment and bus schedule this process would build in-process
-// — so the fetched trace diffs clean against a local run.
+// trace, optionally detach with a checkpoint. The server opens the model
+// through the same scenario resolver (dsl.Scenario.Open) this process uses
+// in-process — so the fetched trace diffs clean against a local run.
 func runRemote(out io.Writer, o remoteOpts) error {
 	cl, err := farm.Dial(o.addr)
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/farm"
+	"repro/models"
 )
 
 // TestFailureStillFlushesTrace: a failure after the run (unwritable -svg
@@ -73,25 +74,41 @@ func TestFailureStillFlushesClusterTrace(t *testing.T) {
 }
 
 // TestBadFlagsReturnError: argument problems come back as errors, they do
-// not kill the process.
+// not kill the process — and so does a flag the chosen mode would ignore.
+// The -connect rows point at a live server, so only the flag check can
+// fail them.
 func TestBadFlagsReturnError(t *testing.T) {
+	addr := startFarm(t, farm.Options{})
+	dir := t.TempDir()
 	for _, args := range [][]string{
 		{"-model", "no-such-model", "-ms", "10"},
 		{"-model", "dist", "-ms", "10", "-transport", "passive"},
+		{"-model", "heating", "-ms", "10", "-transport", "bogus"},
 		{"-model", "dist", "-ms", "10", "-campaign", "4", "-campaign-loss", "bogus"},
 		{"-model", "dist", "-ms", "10", "-campaign", "4", "-stats"},
+		{"-connect", addr, "-model", "heating", "-ms", "10", "-stats"},
+		{"-connect", addr, "-model", "heating", "-ms", "100", "-transport", "passive"},
+		{"-connect", addr, "-model", "heating", "-ms", "10", "-restore", "/nonexistent"},
+		{"-connect", addr, "-model", "heating", "-ms", "10", "-checkpoint", filepath.Join(dir, "cp.json")},
+		{"-connect", addr, "-model", "heating", "-ms", "10", "-rewind", "5"},
+		{"-connect", addr, "-model", "heating", "-ms", "10", "-svg", filepath.Join(dir, "frame.svg")},
+		{"-connect", addr, "-model", "heating", "-ms", "10", "-gdm", filepath.Join(dir, "out.gdm")},
+		{"-connect", addr, "-model", "heating", "-ms", "10", "-digest-out", filepath.Join(dir, "d.txt")},
+		{"-model", "heating", "-ms", "10", "-resume", "deadbeef"},
+		{"-model", "heating", "-ms", "10", "-detach"},
+		{"-model", "heating", "-ms", "10", "-resume", "deadbeef", "-detach", "-digest-out", filepath.Join(dir, "d.txt")},
 	} {
 		if err := run(args, io.Discard); err == nil {
-			t.Fatalf("run(%v) did not fail", args)
+			t.Errorf("run(%v) did not fail", args)
 		}
 	}
 }
 
-// TestConnectMatchesInProcess: the -connect client mode against a live
-// farm server produces a trace byte-identical to the in-process run of
-// the same model and budget — the CI determinism diff, in miniature.
-func TestConnectMatchesInProcess(t *testing.T) {
-	srv, err := farm.NewServer(farm.Options{})
+// startFarm serves a farm on a loopback port until the test ends and
+// returns its address.
+func startFarm(t *testing.T, opts farm.Options) string {
+	t.Helper()
+	srv, err := farm.NewServer(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,48 +117,54 @@ func TestConnectMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	go srv.Serve(lis)
-	defer srv.Close()
+	t.Cleanup(func() { srv.Close() })
+	return lis.Addr().String()
+}
 
+// TestConnectMatchesInProcess: the -connect client mode against a live
+// farm server produces a trace byte-identical to the in-process run of
+// the same model and budget, for every built-in model and for a scenario
+// shipped as DSL source.
+func TestConnectMatchesInProcess(t *testing.T) {
+	addr := startFarm(t, farm.Options{})
+	inputs := [][]string{{"-scenario", "../../examples/dsl/heating.gmdf"}}
+	for _, name := range models.Names() {
+		inputs = append(inputs, []string{"-model", name})
+	}
 	dir := t.TempDir()
-	local := filepath.Join(dir, "local.trace")
-	remote := filepath.Join(dir, "remote.trace")
-	if err := run([]string{"-model", "heating", "-ms", "300", "-trace", local}, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if err := run([]string{"-connect", lis.Addr().String(), "-model", "heating", "-ms", "300", "-trace", remote}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	a, err := os.ReadFile(local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(remote)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("remote-driven trace differs from in-process trace")
-	}
-	if !strings.Contains(buf.String(), "created session") {
-		t.Fatalf("unexpected -connect output:\n%s", buf.String())
+	for _, in := range inputs {
+		t.Run(filepath.Base(in[1]), func(t *testing.T) {
+			local := filepath.Join(dir, filepath.Base(in[1])+".local.trace")
+			remote := filepath.Join(dir, filepath.Base(in[1])+".remote.trace")
+			if err := run(append(in, "-ms", "100", "-trace", local), io.Discard); err != nil {
+				t.Fatal(err)
+			}
+			var buf strings.Builder
+			if err := run(append(in, "-connect", addr, "-ms", "100", "-trace", remote), &buf); err != nil {
+				t.Fatal(err)
+			}
+			a, err := os.ReadFile(local)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(remote)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Fatalf("remote-driven trace (%d bytes) differs from in-process trace (%d bytes)", len(b), len(a))
+			}
+			if !strings.Contains(buf.String(), "created session") {
+				t.Fatalf("unexpected -connect output:\n%s", buf.String())
+			}
+		})
 	}
 }
 
 // TestConnectDetachResume: -detach hands back a digest that -resume turns
 // into the rest of the run, byte-identically.
 func TestConnectDetachResume(t *testing.T) {
-	srv, err := farm.NewServer(farm.Options{StoreDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(lis)
-	defer srv.Close()
-	addr := lis.Addr().String()
+	addr := startFarm(t, farm.Options{StoreDir: t.TempDir()})
 
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full.trace")

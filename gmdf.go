@@ -22,7 +22,8 @@
 // both embed the same Core: one model pipeline, one session, one run
 // loop, one checkpoint recorder and one set of renderers over a
 // target.Target. Code that drives either kind (the gmdf CLI, the debug
-// farm, the campaign engine) holds a *Core and never asks which one it
+// farm, the campaign engine) gets its *Core from the scenario resolver in
+// internal/dsl, which alone picks the shape, and never asks which one it
 // has, except to print what only one shape has.
 package repro
 
@@ -70,27 +71,16 @@ type DebugConfig struct {
 	// model can provide sensor inputs and consume actuator outputs.
 	Environment func(now uint64, b *target.Board)
 	// Program, when non-nil, skips compilation and loads this precompiled
-	// program instead. It must come from CompileFor with the same system
-	// and config — the farm server compiles each model once and shares the
-	// immutable program across hundreds of sessions (per-session state is
-	// just board RAM + pooled machines; the IR is never written at run
-	// time).
+	// program instead. It must be the Prog of an earlier Debugger of the
+	// same system and compile-relevant config — the farm server compiles
+	// each model once and shares the immutable program across hundreds of
+	// sessions (per-session state is just board RAM + pooled machines; the
+	// IR is never written at run time).
 	Program *codegen.Program
 }
 
-// CompileFor compiles sys exactly as Debug would under cfg — same
-// instrument defaulting, same options — so the result can be handed back
-// via DebugConfig.Program and shared across many sessions.
-func CompileFor(sys *comdes.System, cfg DebugConfig) (*codegen.Program, error) {
-	if err := sys.Validate(); err != nil {
-		return nil, err
-	}
-	return codegen.Compile(sys, compileOptions(cfg))
-}
-
 // compileOptions is the one place the facade's instrument defaulting
-// lives; Debug and CompileFor must agree or a shared program would differ
-// from a per-session compile.
+// lives.
 func compileOptions(cfg DebugConfig) codegen.Options {
 	opts := cfg.Compile
 	if cfg.Transport == Active {

@@ -43,13 +43,7 @@ func Run(spec Spec) (*Aggregate, error) {
 	// Build the coordinator instance, warm it, capture the shared base
 	// checkpoint. The coordinator then serves as worker 0's runner.
 	arena := &trace.Arena{}
-	var prog *codegen.Program
-	if !clustered {
-		if prog, err = repro.CompileFor(sys, boardConfig(spec.Model)); err != nil {
-			return nil, err
-		}
-	}
-	coord, err := newRunner(&spec, prog, nil, arena)
+	coord, err := newRunner(&spec, nil, nil, arena)
 	if err != nil {
 		return nil, err
 	}
@@ -65,6 +59,7 @@ func Run(spec Spec) (*Aggregate, error) {
 	coord.base = base
 
 	var (
+		prog      *codegen.Program // the coordinator's, shared by every board runner
 		taskNames []string
 		basePrios []int
 		slots     int
@@ -87,7 +82,9 @@ func Run(spec Spec) (*Aggregate, error) {
 			}
 		}
 	} else {
-		for _, t := range coord.kind.(*boardKind).board.Tasks() {
+		board := coord.kind.(*boardKind).board
+		prog = board.Prog
+		for _, t := range board.Tasks() {
 			taskNames = append(taskNames, t.Name)
 			basePrios = append(basePrios, t.Priority)
 		}

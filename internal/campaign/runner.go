@@ -7,6 +7,7 @@ import (
 	"repro"
 	"repro/internal/checkpoint"
 	"repro/internal/codegen"
+	"repro/internal/dsl"
 	"repro/internal/dtm"
 	"repro/internal/engine"
 	"repro/internal/target"
@@ -39,46 +40,28 @@ type kind interface {
 	observe(v variant) (VariantResult, error)
 }
 
-// newRunner builds a warm-able instance of the spec's model: a placed
-// multi-node model on the standard TDMA cluster (campaign parallelism is
-// across variants, not within one), anything else on one board. prog is
-// the shared single-board program (nil for clusters).
+// newRunner builds a warm-able instance of the spec's model through the
+// scenario resolver: a placed multi-node model on the standard TDMA
+// cluster (campaign parallelism is across variants, not within one),
+// anything else on one board. prog is the shared single-board program,
+// nil for the first runner and for clusters.
 func newRunner(spec *Spec, prog *codegen.Program, base *checkpoint.Checkpoint, arena *trace.Arena) (*runner, error) {
 	sys, err := models.ByName(spec.Model)
 	if err != nil {
 		return nil, err
 	}
-	r := &runner{base: base, arena: arena}
-	if len(sys.Nodes()) >= 2 {
-		cdbg, err := repro.DebugCluster(sys, repro.ClusterDebugConfig{
-			Cluster: repro.StandardClusterConfig(sys.Nodes()),
-		})
-		if err != nil {
-			return nil, err
-		}
-		r.dbg = &cdbg.Core
-		r.kind = &busKind{spec: spec, cl: cdbg.Cluster, nodes: cdbg.Cluster.Nodes()}
+	dbg, _, err := dsl.Standard(sys).Open(repro.Active, prog)
+	if err != nil {
+		return nil, err
+	}
+	r := &runner{dbg: dbg, base: base, arena: arena, progName: dbg.Session.Trace.Program}
+	if cl, ok := dbg.Target().(*target.Cluster); ok {
+		r.kind = &busKind{spec: spec, cl: cl, nodes: cl.Nodes()}
 	} else {
-		cfg := boardConfig(spec.Model)
-		cfg.Program = prog
-		dbg, err := repro.Debug(sys, cfg)
-		if err != nil {
-			return nil, err
-		}
-		r.dbg = &dbg.Core
-		r.kind = &boardKind{spec: spec, board: dbg.Board, fixed: cfg.Board.Sched == dtm.FixedPriority}
+		board := dbg.Target().(*target.Board)
+		r.kind = &boardKind{spec: spec, board: board, fixed: board.Policy() == dtm.FixedPriority}
 	}
-	r.progName = r.dbg.Session.Trace.Program
 	return r, nil
-}
-
-// boardConfig is the single-board campaign configuration for model.
-func boardConfig(model string) repro.DebugConfig {
-	return repro.DebugConfig{
-		Transport:   repro.Active,
-		Board:       repro.StandardBoardConfig(model),
-		Environment: repro.StandardEnvironment(model),
-	}
 }
 
 // fork rewinds the instance to the base checkpoint with the variant's

@@ -61,14 +61,6 @@ type Recorder struct {
 	// live session pumps events at for receive stamps to reproduce.
 	SliceNs uint64
 
-	// MaxCheckpoints bounds the retained checkpoint list (each checkpoint
-	// carries every node's RAM image and a trace copy, so an unbounded list
-	// grows quadratically over very long runs). When the cap is hit the
-	// oldest periodic checkpoint after the initial one is evicted — rewinds
-	// reach the whole run, at coarser granularity near the beginning. Zero
-	// means DefaultMaxCheckpoints.
-	MaxCheckpoints int
-
 	boards []*target.Board // in node order
 
 	cps    []*Checkpoint
@@ -93,9 +85,12 @@ type Recorder struct {
 	insPtr    int
 }
 
-// DefaultMaxCheckpoints is the retained-checkpoint cap when
-// Recorder.MaxCheckpoints is zero.
-const DefaultMaxCheckpoints = 64
+// maxCheckpoints bounds the retained checkpoint list (each checkpoint
+// carries every node's RAM image and a trace copy, so an unbounded list
+// grows quadratically over very long runs). When the cap is hit the
+// oldest periodic checkpoint after the initial one is evicted — rewinds
+// reach the whole run, at coarser granularity near the beginning.
+const maxCheckpoints = 64
 
 // Attach interposes a recorder on every node of a target + session pair
 // and takes the initial checkpoint. Attach after arming any standing
@@ -164,17 +159,13 @@ func (r *Recorder) Observe(now uint64) error {
 
 // TakeCheckpoint captures the current state and appends it to the
 // checkpoint list, evicting the oldest periodic checkpoint (the initial
-// one is always kept) once MaxCheckpoints is reached.
+// one is always kept) once maxCheckpoints is reached.
 func (r *Recorder) TakeCheckpoint() (*Checkpoint, error) {
 	cp, err := Capture(r.Target, r.Session, r.Serials)
 	if err != nil {
 		return nil, err
 	}
-	max := r.MaxCheckpoints
-	if max <= 0 {
-		max = DefaultMaxCheckpoints
-	}
-	if len(r.cps) >= max && len(r.cps) > 1 {
+	if len(r.cps) >= maxCheckpoints {
 		r.cps = append(r.cps[:1], r.cps[2:]...)
 	}
 	r.cps = append(r.cps, cp)

@@ -75,10 +75,14 @@ func Compile(sys *comdes.System, opts Options) (*Program, error) {
 	// Ahead-of-time backend: thread every unit's code now, while the
 	// Program is still exclusively owned, so the compiled form travels
 	// with the shared Program (the farm compiles once per model) and no
-	// later consumer ever mutates it concurrently.
+	// later consumer ever mutates it concurrently. Boards run only the
+	// threaded form, so code that cannot be threaded is a compile error.
 	for _, u := range c.prog.Units {
 		u.ThreadedInit = Thread(c.prog, u.Init)
 		u.ThreadedBody = Thread(c.prog, u.Body)
+		if u.ThreadedInit == nil || u.ThreadedBody == nil {
+			return nil, fmt.Errorf("codegen: unit %s: generated code cannot be threaded", u.Name)
+		}
 	}
 	return c.prog, nil
 }

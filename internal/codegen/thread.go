@@ -58,8 +58,8 @@ func (t *Threaded) Len() int { return len(t.nodes) }
 
 // Thread compiles code into its direct-threaded form, or nil when the
 // sequence cannot be threaded (unknown opcode, jump target outside
-// [0, len]) — callers then stay on the interpreter, which produces the
-// canonical diagnostics for such code.
+// [0, len]). Compile refuses such code; a Machine given nil stays on the
+// interpreter, which produces the canonical diagnostics for it.
 func Thread(p *Program, code []Instr) *Threaded {
 	t := &Threaded{code: code, nodes: make([]tnode, len(code))}
 	// next resolves the node after pc (nil when execution leaves the code).

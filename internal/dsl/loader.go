@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro"
+	"repro/internal/codegen"
 	"repro/internal/comdes"
 	"repro/internal/dtm"
 	"repro/internal/expr"
@@ -12,9 +13,11 @@ import (
 )
 
 // Scenario is a loaded .gmdf file: the built comdes system plus the
-// execution configuration the declarations imply. Its DebugConfig and
-// ClusterConfig mirror the defaults the gmdf CLI applies to built-in
-// models, so a scenario port of a model produces byte-identical traces.
+// execution configuration the declarations imply. Open resolves that
+// configuration into a debugger; an undeclared board or bus falls back to
+// the model-standard one. A system with no declarations at all (Standard)
+// resolves as if it declared `environment standard`, so a scenario port
+// of a built-in model produces byte-identical traces.
 type Scenario struct {
 	Name   string // source file name (diagnostics, labels)
 	Source string
@@ -247,26 +250,73 @@ func assignMap(as []AssignDecl) map[string]string {
 // run declaration; callers pick their own budget then).
 func (s *Scenario) RunNs() uint64 { return s.File.RunNs }
 
-// Multi reports whether the scenario places actors on multiple nodes
-// (debugs as a cluster).
-func (s *Scenario) Multi() bool { return len(s.Sys.Nodes()) > 1 }
-
-// DebugConfig assembles the single-board configuration the scenario
-// implies: the declared board (or the model-standard one), the standard
-// environment when declared, and every drive as a pre-latch stimulus.
-// Matching the CLI defaults is what makes a ported scenario's trace
-// byte-identical to its Go constructor's.
-func (s *Scenario) DebugConfig() repro.DebugConfig {
-	return repro.DebugConfig{
-		Transport:   repro.Active,
-		Board:       s.BoardConfig(),
-		Environment: s.Environment(),
+// Standard returns the scenario of a system that comes with no
+// declarations: a built-in model or a COMDES XMI file. It resolves
+// exactly like a .gmdf file that declares `environment standard` and
+// nothing else, so every front end debugs such a system on the same
+// board, environment and bus.
+func Standard(sys *comdes.System) *Scenario {
+	return &Scenario{
+		Name: sys.Name(),
+		File: &File{Name: sys.Name(), Env: &EnvDecl{Standard: true}},
+		Sys:  sys,
 	}
 }
 
-// BoardConfig resolves the board declaration (falling back to the
-// standard config for the system name, exactly like `gmdf -model`).
-func (s *Scenario) BoardConfig() target.Config {
+// Open builds the debugger the scenario resolves to. It is the one place
+// that decides the target's shape: a system placed on several nodes runs
+// as a cluster on the resolved TDMA bus, anything else on one board with
+// the resolved board config. Each call builds a fresh environment, so two
+// debuggers of one scenario never share plant state.
+//
+// prog is a program the caller shares across single-board debuggers of
+// this scenario: nil, or the Prog of an earlier board debugger Open
+// returned for the same scenario and transport. Clusters compile per node
+// and ignore it. The board debugger is returned as well, nil on a
+// cluster.
+func (s *Scenario) Open(tp repro.Transport, prog *codegen.Program) (*repro.Core, *repro.Debugger, error) {
+	if s.multi() {
+		if tp != repro.Active {
+			return nil, nil, fmt.Errorf("dsl: %s places actors on %d nodes and debugs over every node's active interface only; the passive transport is not supported",
+				s.Sys.Name(), len(s.Sys.Nodes()))
+		}
+		d, err := repro.DebugCluster(s.Sys, repro.ClusterDebugConfig{
+			Cluster:     s.clusterConfig(),
+			Environment: s.clusterEnvironment(),
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		return &d.Core, nil, nil
+	}
+	cfg := s.DebugConfig()
+	cfg.Transport, cfg.Program = tp, prog
+	d, err := repro.Debug(s.Sys, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &d.Core, d, nil
+}
+
+// multi reports whether the scenario places actors on multiple nodes
+// (debugs as a cluster).
+func (s *Scenario) multi() bool { return len(s.Sys.Nodes()) > 1 }
+
+// DebugConfig assembles the single-board configuration the scenario
+// implies over the active transport: the declared board (or the
+// model-standard one), the standard environment when declared, and every
+// drive as a pre-latch stimulus.
+func (s *Scenario) DebugConfig() repro.DebugConfig {
+	return repro.DebugConfig{
+		Transport:   repro.Active,
+		Board:       s.boardConfig(),
+		Environment: s.environment(),
+	}
+}
+
+// boardConfig resolves the board declaration, falling back to the
+// standard config for the system name.
+func (s *Scenario) boardConfig() target.Config {
 	b := s.File.Board
 	if b == nil {
 		return repro.StandardBoardConfig(s.Sys.Name())
@@ -278,12 +328,12 @@ func (s *Scenario) BoardConfig() target.Config {
 	return cfg
 }
 
-// Environment composes the scenario's stimuli: the standard environment
+// environment composes the scenario's stimuli: the standard environment
 // for the system name (when `environment standard` is declared) runs
 // first, then every drive expression — evaluated over t (seconds, float)
 // and now (nanoseconds, int) — overwrites its target input. Nil when the
 // scenario declares no stimuli at all.
-func (s *Scenario) Environment() func(now uint64, b *target.Board) {
+func (s *Scenario) environment() func(now uint64, b *target.Board) {
 	var std func(now uint64, b *target.Board)
 	if s.File.Env != nil && s.File.Env.Standard {
 		std = repro.StandardEnvironment(s.Sys.Name())
@@ -302,9 +352,10 @@ func (s *Scenario) Environment() func(now uint64, b *target.Board) {
 	}
 }
 
-// ClusterEnvironment is Environment for multi-node scenarios: each
-// drive writes only on the node its target actor is placed on.
-func (s *Scenario) ClusterEnvironment() func(now uint64, node string, b *target.Board) {
+// clusterEnvironment is environment for multi-node scenarios: each drive
+// writes only on the node its target actor is placed on. No standard
+// environment drives a placed system.
+func (s *Scenario) clusterEnvironment() func(now uint64, node string, b *target.Board) {
 	if len(s.drives) == 0 {
 		return nil
 	}
@@ -336,10 +387,10 @@ func applyDrives(drives []compiledDrive, now uint64, write func(actor, port stri
 	}
 }
 
-// ClusterConfig assembles the multi-node configuration: the standard
+// clusterConfig assembles the multi-node configuration: the standard
 // TDMA cluster for the system's nodes, with the declared bus schedule
 // and board parameters layered over it.
-func (s *Scenario) ClusterConfig() target.ClusterConfig {
+func (s *Scenario) clusterConfig() target.ClusterConfig {
 	cfg := repro.StandardClusterConfig(s.Sys.Nodes())
 	if b := s.File.Board; b != nil {
 		if b.CPUHz != 0 {

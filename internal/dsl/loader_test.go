@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/dtm"
+	"repro/models"
 )
 
 // twoNodeSrc is a minimal placed scenario with board and bus overrides.
@@ -59,7 +61,7 @@ func TestLoadTwoNodeScenario(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadSource: %v\n%s", err, Render("duo.gmdf", twoNodeSrc, diags))
 	}
-	if !sc.Multi() {
+	if !sc.multi() {
 		t.Fatal("placed two-node scenario not recognised as multi-node")
 	}
 	if got := sc.Sys.Nodes(); len(got) != 2 {
@@ -69,7 +71,7 @@ func TestLoadTwoNodeScenario(t *testing.T) {
 		t.Fatalf("RunNs = %d", sc.RunNs())
 	}
 
-	cfg := sc.ClusterConfig()
+	cfg := sc.clusterConfig()
 	if cfg.Board.CPUHz != 8_000_000 || cfg.Board.Baud != 1_000_000 || cfg.Board.Sched != dtm.FixedPriority {
 		t.Fatalf("board overlay lost: %+v", cfg.Board)
 	}
@@ -97,7 +99,7 @@ func TestLoadDefaultsMatchStandardCluster(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadSource: %v\n%s", err, Render("duo.gmdf", src, diags))
 	}
-	cfg := sc.ClusterConfig()
+	cfg := sc.clusterConfig()
 	if cfg.Bus == nil || len(cfg.Bus.Slots) != 2 || cfg.Bus.Slots[0].LenNs != 100_000 {
 		t.Fatalf("standard bus not applied: %+v", cfg.Bus)
 	}
@@ -128,18 +130,108 @@ func TestLoadSourceErrorPath(t *testing.T) {
 // TestScenarioDrives: drive expressions evaluate over t and now and the
 // single-board environment callback writes them.
 func TestScenarioDrives(t *testing.T) {
-	src := wrap("        in x float\n        out y float\n        block gain g { k = 1.0 }\n" +
+	src := wrap("        in x float\n        out y float\n        block gain g { k = 1.0 }\n"+
 		"        wire .x -> g.in\n        wire g.out -> .y\n") +
 		"drive a.x = \"2 * t\"\n"
 	sc, diags, err := LoadSource("d.gmdf", src)
 	if err != nil {
 		t.Fatalf("LoadSource: %v\n%s", err, Render("d.gmdf", src, diags))
 	}
-	env := sc.Environment()
+	env := sc.environment()
 	if env == nil {
 		t.Fatal("scenario with a drive has no environment")
 	}
-	if sc.Multi() {
+	if sc.multi() {
 		t.Fatal("single-board scenario reported as multi")
 	}
+}
+
+// TestStandardOpenMatchesStandardConfig: a system with no declarations
+// opens on the model-standard board, environment and bus — the
+// configuration each front end used to assemble for itself.
+func TestStandardOpenMatchesStandardConfig(t *testing.T) {
+	for _, name := range models.Names() {
+		sys, err := models.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dbg, bd, err := Standard(sys).Open(repro.Active, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var want *repro.Core
+		if ref, _ := models.ByName(name); len(ref.Nodes()) > 1 {
+			if bd != nil {
+				t.Fatalf("%s: multi-node system opened a board debugger", name)
+			}
+			cd, err := repro.DebugCluster(ref, repro.ClusterDebugConfig{Cluster: repro.StandardClusterConfig(ref.Nodes())})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = &cd.Core
+		} else {
+			if bd == nil || &bd.Core != dbg {
+				t.Fatalf("%s: single-node system did not open a board debugger", name)
+			}
+			d, err := repro.Debug(ref, repro.DebugConfig{
+				Board:       repro.StandardBoardConfig(ref.Name()),
+				Environment: repro.StandardEnvironment(ref.Name()),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = &d.Core
+		}
+		if got, exp := runTrace(t, dbg, 100), runTrace(t, want, 100); got != exp {
+			t.Errorf("%s: Standard(sys).Open trace (%d bytes) differs from the standard configuration's (%d bytes)", name, len(got), len(exp))
+		}
+	}
+}
+
+// TestOpenFreshEnvironment: every Open builds its own environment, so a
+// second debugger of the same scenario — sharing the first one's program —
+// replays the same plant from the start rather than continuing the
+// first's heating room.
+func TestOpenFreshEnvironment(t *testing.T) {
+	sys, err := models.ByName("heating")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := Standard(sys)
+	first, bd, err := sc.Open(repro.Active, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := runTrace(t, first, 300)
+	second, bd2, err := sc.Open(repro.Active, bd.Prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bd2.Prog != bd.Prog {
+		t.Fatal("Open compiled a new program instead of sharing the one passed in")
+	}
+	if b := runTrace(t, second, 300); a != b {
+		t.Fatal("second debugger of one scenario does not start from a fresh environment")
+	}
+}
+
+// TestOpenRejectsPassiveCluster: a placed multi-node system debugs over
+// every node's active interface only.
+func TestOpenRejectsPassiveCluster(t *testing.T) {
+	sys, err := models.ByName("dist")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Standard(sys).Open(repro.Passive, nil); err == nil {
+		t.Fatal("passive transport accepted on a multi-node system")
+	}
+}
+
+// runTrace runs dbg for ms virtual milliseconds and returns its trace.
+func runTrace(t *testing.T, dbg *repro.Core, ms uint64) string {
+	t.Helper()
+	if err := dbg.RunNs(ms * 1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	return dbg.Session.Trace.FormatStable()
 }

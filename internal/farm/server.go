@@ -16,10 +16,8 @@ import (
 
 	"repro"
 	"repro/internal/codegen"
-	"repro/internal/comdes"
 	"repro/internal/dsl"
 	"repro/internal/sched"
-	"repro/internal/target"
 	"repro/internal/trace"
 	"repro/models"
 )
@@ -539,22 +537,29 @@ func (s *Server) flushStream(ss *session) {
 	s.st.mu.Unlock()
 }
 
-// programForSystem compiles a system once and shares the immutable
-// program across every session with the same key — the built-in model
-// name, or "dsl:"+source-digest for scenario sessions (identical source
-// text compiles once no matter how many clients submit it).
-func (s *Server) programForSystem(key string, sys *comdes.System) (*codegen.Program, error) {
+// open builds a session's debugger through the scenario resolver,
+// sharing one immutable program across every single-board session with
+// the same key — the built-in model name, or "dsl:"+source-digest for
+// scenario sessions, so identical source text shares one program no
+// matter how many clients submit it. The first session of a key compiles
+// the program and the cache keeps it; first sessions racing each other
+// may each compile, and the first to finish wins.
+func (s *Server) open(key string, sc *dsl.Scenario) (*repro.Core, error) {
 	s.pmu.Lock()
-	defer s.pmu.Unlock()
-	if p, ok := s.programs[key]; ok {
-		return p, nil
-	}
-	p, err := repro.CompileFor(sys, repro.DebugConfig{Transport: repro.Active})
+	prog := s.programs[key]
+	s.pmu.Unlock()
+	dbg, bd, err := sc.Open(repro.Active, prog)
 	if err != nil {
 		return nil, err
 	}
-	s.programs[key] = p
-	return p, nil
+	if bd != nil && prog == nil {
+		s.pmu.Lock()
+		if _, ok := s.programs[key]; !ok {
+			s.programs[key] = bd.Prog
+		}
+		s.pmu.Unlock()
+	}
+	return dbg, nil
 }
 
 func (s *Server) handleCreate(raw json.RawMessage) (any, error) {
@@ -562,10 +567,7 @@ func (s *Server) handleCreate(raw json.RawMessage) (any, error) {
 	if err := unmarshalParams(raw, &p); err != nil {
 		return nil, err
 	}
-	var (
-		sys *comdes.System
-		sc  *dsl.Scenario
-	)
+	var sc *dsl.Scenario
 	model := p.Model
 	if p.Source != "" {
 		// DSL sessions gate on the same checker the CLI runs: a scenario
@@ -586,22 +588,22 @@ func (s *Server) handleCreate(raw json.RawMessage) (any, error) {
 		if err != nil {
 			return nil, fmt.Errorf("farm: scenario rejected:\n%s", dsl.Render(name, p.Source, diags))
 		}
-		sc, sys = loaded, loaded.Sys
+		sc = loaded
 		sum := sha256.Sum256([]byte(p.Source))
 		model = "dsl:" + hex.EncodeToString(sum[:6])
 	} else {
-		var err error
-		sys, err = models.ByName(p.Model)
+		sys, err := models.ByName(p.Model)
 		if err != nil {
 			return nil, err
 		}
+		sc = dsl.Standard(sys)
 	}
 
-	dbg, err := s.newDebugger(model, sys, sc, p)
+	dbg, err := s.open(model, sc)
 	if err != nil {
 		return nil, err
 	}
-	ss := &session{model: model, sys: sys, dbg: dbg}
+	ss := &session{model: model, sys: sc.Sys, dbg: dbg}
 
 	resumed := false
 	if p.Checkpoint != "" {
@@ -650,50 +652,11 @@ func (s *Server) handleCreate(raw json.RawMessage) (any, error) {
 		Model:   model,
 		NowNs:   ss.dbg.Now(),
 		Records: ss.dbg.Session.Trace.Len(),
-		Backend: ss.backend(),
 	}
 	if nodes := ss.dbg.Target().Nodes(); len(nodes) > 1 {
 		res.Nodes = nodes
 	}
 	return res, nil
-}
-
-// newDebugger builds a session's debugger: a placed multi-node system
-// boots as a TDMA cluster, anything else on one board sharing the cached
-// compiled program. sc is the scenario the system came from, nil for a
-// built-in model.
-func (s *Server) newDebugger(model string, sys *comdes.System, sc *dsl.Scenario, p CreateParams) (*repro.Core, error) {
-	if len(sys.Nodes()) > 1 {
-		ccfg := repro.StandardClusterConfig(sys.Nodes())
-		var cenv func(now uint64, node string, b *target.Board)
-		if sc != nil {
-			ccfg = sc.ClusterConfig()
-			cenv = sc.ClusterEnvironment()
-		}
-		cdbg, err := repro.DebugCluster(sys, repro.ClusterDebugConfig{Cluster: ccfg, Environment: cenv})
-		if err != nil {
-			return nil, err
-		}
-		return &cdbg.Core, nil
-	}
-	prog, err := s.programForSystem(model, sys)
-	if err != nil {
-		return nil, err
-	}
-	cfg := repro.DebugConfig{
-		Transport:   repro.Active,
-		Environment: repro.StandardEnvironment(p.Model),
-		Program:     prog,
-	}
-	if sc != nil {
-		cfg.Environment = sc.Environment()
-		cfg.Board = sc.BoardConfig()
-	}
-	dbg, err := repro.Debug(sys, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &dbg.Core, nil
 }
 
 func (s *Server) handleDetach(ss *session, raw json.RawMessage) (any, error) {

@@ -42,19 +42,6 @@ func (ss *session) errClosed() error {
 	return fmt.Errorf("farm: session %s is detached", ss.id)
 }
 
-// backend reports the VM dispatch backend the session runs generated code
-// on: "threaded" only when every board of the session uses the compiled
-// form — a cluster with even one interpreter-bound node reports "interp".
-func (ss *session) backend() string {
-	t := ss.dbg.Target()
-	for _, node := range t.Nodes() {
-		if t.Board(node).Backend() != "threaded" {
-			return "interp"
-		}
-	}
-	return "threaded"
-}
-
 // journalReq appends one control request to the session journal, stamped
 // with the session's virtual time at receipt. On a server every host
 // action crosses the wire, so this journal is the complete host-action

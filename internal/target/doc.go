@@ -75,19 +75,16 @@
 // passively-watched binary reports zero instrumentation cycles — the
 // measurable core of the paper's active-vs-passive argument.
 //
-// # Dispatch backends
+// # Dispatch
 //
-// Config.Backend selects how the VM dispatches generated code:
-// BackendAuto/BackendThreaded (the default) attach the direct-threaded
-// compiled form codegen.Compile builds eagerly for every unit — a chain
-// of Go closures with peephole-fused superinstructions — while
-// BackendInterp forces the per-instruction Step switch (the gmdf
-// "-backend interp" escape hatch). Board.Backend() reports the path
-// release bodies actually run on: "threaded" only when the compiled form
-// is both selected and present for every unit, so a program that could
-// not be threaded never silently claims the fast path. The semantics
-// matrix — every cell is bit-identical by construction and gated by the
-// differential, golden and preempt-table tests:
+// A board always runs generated code on the direct-threaded form
+// codegen.Compile builds for every unit — a chain of Go closures with
+// peephole-fused superinstructions; Compile fails on code it cannot
+// thread, so there is no fallback to choose or report. The
+// per-instruction Step interpreter stays in codegen as the semantic
+// reference. The matrix below is what the two must agree on — every cell
+// is bit-identical by construction and gated by the differential, golden
+// and preempt-table tests:
 //
 //	aspect                interpreter (Step switch)   threaded (closure chain)
 //	cycle accounting      Op.Cycles per instruction,  identical — fused super-
@@ -118,10 +115,6 @@
 //	runtime errors        error text + PC at the      identical text, PC and
 //	                      failing instruction         accounting (fused error
 //	                                                  exits de-fuse retroactively)
-//	unthreadable code     canonical diagnostics       Thread() returns nil; the
-//	(bad jump, unknown    (unknown opcode ...)        machine stays on the
-//	opcode)                                           interpreter, Backend()
-//	                                                  reports "interp"
 //
 // # Command interfaces
 //

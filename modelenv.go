@@ -9,10 +9,14 @@ import (
 
 // Standard environments and cluster wiring for the built-in models
 // (models.ByName). These live here rather than in the models package so
-// models stays free of target imports — and so the gmdf CLI and the farm
-// server share one definition: identical systems plus identical
-// environments plus identical bus schedules is what makes a remote-driven
-// session's trace byte-identical to an in-process run of the same model.
+// models stays free of target imports. Their one consumer in the program
+// is the scenario resolver in internal/dsl: Scenario.Open applies them to
+// any system that leaves its board, environment or bus undeclared, and
+// the gmdf CLI, the farm server and the campaign engine build every
+// debugger through it (the campaign also reads StatefulEnvironment).
+// Examples and benchmarks call them directly. One definition behind one
+// resolver is what makes a remote-driven session's trace byte-identical
+// to an in-process run of the same model.
 
 // StandardEnvironment returns a fresh environment hook for the named
 // built-in model, nil when the model needs none. The closure owns any
@@ -62,8 +66,8 @@ func StandardBoardConfig(name string) target.Config {
 	return target.Config{}
 }
 
-// StandardBus is the fixed TDMA schedule the gmdf CLI and the farm server
-// put under a placed multi-node model: 100 µs slot per node in placement
+// StandardBus is the fixed TDMA schedule the scenario resolver puts under
+// a placed multi-node model that declares no bus: 100 µs slot per node in placement
 // order, 50 µs gaps, 20 µs release jitter, 10% seeded loss. Fixed
 // parameters keep every run of the same model byte-deterministic, which
 // the cross-process replay diffs rely on.
@@ -76,8 +80,8 @@ func StandardBus(nodes []string) *dtm.BusSchedule {
 }
 
 // StandardClusterConfig is the cluster-side configuration matching
-// StandardBus (100 µs propagation, 2 Mbaud boards), shared by the CLI's
-// distributed path and the farm's cluster sessions. The variadic
+// StandardBus (100 µs propagation, 2 Mbaud boards) that the scenario
+// resolver layers a placed system's declarations over. The variadic
 // target.ExecMode is ignored; it keeps callers that still pass one
 // compiling.
 func StandardClusterConfig(nodes []string, _ ...target.ExecMode) target.ClusterConfig {
