@@ -174,12 +174,47 @@ func BenchmarkE5_AnimationRate(b *testing.B) {
 	b.ReportMetric(float64(s.Handled)/float64(b.N), "events/ms")
 }
 
-// BenchmarkE5_SVGFrame times rendering one animation frame.
+// BenchmarkE5_SVGFrame times rendering one animation frame of a scene
+// that did not change since the last frame (the common case of a live
+// session: most frames follow a batch with no visible reaction).
 func BenchmarkE5_SVGFrame(b *testing.B) {
 	g := mustGDM(b, mustHeating(b))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if len(g.Scene().SVG()) == 0 {
+			b.Fatal("empty frame")
+		}
+	}
+}
+
+// BenchmarkE5_SVGFrameAnimated times a frame after one reaction: a single
+// state highlight toggles between frames.
+func BenchmarkE5_SVGFrameAnimated(b *testing.B) {
+	sc := mustGDM(b, mustHeating(b)).Scene()
+	id := sc.Shapes()[sc.Len()/2].ID
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := sc.SetHighlight(id, i%2 == 0); err != nil {
+			b.Fatal(err)
+		}
+		if len(sc.SVG()) == 0 {
+			b.Fatal("empty frame")
+		}
+	}
+}
+
+// BenchmarkE5_SVGFrameCold times a frame in which every shape changed (all
+// highlights flip), so nothing is reused from the previous frame: the
+// full render path.
+func BenchmarkE5_SVGFrameCold(b *testing.B) {
+	sc := mustGDM(b, mustHeating(b)).Scene()
+	shapes := sc.Shapes()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, s := range shapes {
+			s.Highlight = !s.Highlight
+		}
+		if len(sc.SVG()) == 0 {
 			b.Fatal("empty frame")
 		}
 	}

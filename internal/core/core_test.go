@@ -383,13 +383,13 @@ func TestExpandTemplates(t *testing.T) {
 		"$unknown":                             "$unknown",
 	}
 	for tmpl, want := range cases {
-		if got := expand(tmpl, ev); got != want {
+		if got := string(appendExpand(nil, tmpl, ev)); got != want {
 			t.Errorf("expand(%q) = %q, want %q", tmpl, got, want)
 		}
 	}
 	// Undotted source: head == tail == source.
 	ev2 := protocol.Event{Source: "solo"}
-	if expand("$sourceHead/$sourceTail", ev2) != "solo/solo" {
+	if string(appendExpand(nil, "$sourceHead/$sourceTail", ev2)) != "solo/solo" {
 		t.Error("undotted expansion wrong")
 	}
 }

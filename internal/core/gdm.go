@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/graphics"
 	"repro/internal/protocol"
@@ -112,6 +113,10 @@ type GDM struct {
 	// pulse clears it.
 	lastPulse map[string]string
 
+	// keyBuf is reused by resolveElement to expand key templates without
+	// building a string per event.
+	keyBuf []byte
+
 	// Stats.
 	Commands  uint64 // events handled
 	Reactions uint64 // reactions applied
@@ -176,13 +181,12 @@ func (g *GDM) SetHalted(h bool) {
 // Scene returns the rendered scene (BuildScene must have run).
 func (g *GDM) Scene() *graphics.Scene { return g.scene }
 
-// expand substitutes event fields into a key template.
-func expand(tmpl string, ev protocol.Event) string {
+// appendExpand appends tmpl to out with event fields substituted.
+func appendExpand(out []byte, tmpl string, ev protocol.Event) []byte {
 	head, tail := ev.Source, ev.Source
 	if i := lastDot(ev.Source); i >= 0 {
 		head, tail = ev.Source[:i], ev.Source[i+1:]
 	}
-	out := make([]byte, 0, len(tmpl)+16)
 	for i := 0; i < len(tmpl); {
 		if tmpl[i] != '$' {
 			out = append(out, tmpl[i])
@@ -211,7 +215,7 @@ func expand(tmpl string, ev protocol.Event) string {
 			i++
 		}
 	}
-	return string(out)
+	return out
 }
 
 func hasPrefix(s, p string) bool { return len(s) >= len(p) && s[:len(p)] == p }
@@ -271,16 +275,19 @@ func (g *GDM) HandleEvent(ev protocol.Event) ([]Reaction, error) {
 
 func (g *GDM) resolveElement(b Binding, ev protocol.Event) *Element {
 	if b.ArrowMatch {
-		from := expand(b.FromKey, ev)
-		to := expand(b.ToKey, ev)
+		g.keyBuf = appendExpand(g.keyBuf[:0], b.FromKey, ev)
+		n := len(g.keyBuf)
+		g.keyBuf = appendExpand(g.keyBuf, b.ToKey, ev)
+		from, to := g.keyBuf[:n], g.keyBuf[n:]
 		for _, el := range g.elements {
-			if IsConnector(el.Pattern) && el.From == from && el.To == to {
+			if IsConnector(el.Pattern) && el.From == string(from) && el.To == string(to) {
 				return el
 			}
 		}
 		return nil
 	}
-	return g.index[expand(b.KeyTemplate, ev)]
+	g.keyBuf = appendExpand(g.keyBuf[:0], b.KeyTemplate, ev)
+	return g.index[string(g.keyBuf)]
 }
 
 func (g *GDM) apply(b Binding, el *Element, ev protocol.Event) error {
@@ -299,7 +306,7 @@ func (g *GDM) apply(b Binding, el *Element, ev protocol.Event) error {
 	case ReactBadge:
 		badge := ev.Arg2
 		if badge == "" {
-			badge = fmt.Sprintf("%g", ev.Value)
+			badge = strconv.FormatFloat(ev.Value, 'g', -1, 64) // as %g prints it
 		}
 		return g.scene.SetBadge(el.ID, badge)
 	case ReactPulse:

@@ -1,9 +1,14 @@
 package farm
 
 import (
+	"bufio"
+	"io"
+	"net"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestCreateFromSource: a session created from scenario DSL source
@@ -86,5 +91,63 @@ func TestCreateSourceSizeLimit(t *testing.T) {
 	_, err = cl2.Create(CreateParams{Source: "system x\n"})
 	if err == nil || !strings.Contains(err.Error(), "disabled") {
 		t.Fatalf("disabled DSL creates: err = %v, want disabled error", err)
+	}
+}
+
+// TestRequestLineCapped: the server buffers at most one maximum-size
+// legal request line — MaxSourceBytes of source with every byte escaped
+// to six JSON bytes, plus a 64 KiB envelope. A line that never ends is cut
+// off at that cap with an error naming it, and the connection is closed;
+// a maximum-size legal create still succeeds.
+func TestRequestLineCapped(t *testing.T) {
+	const maxSrc = 8 << 10
+	limit := 6*maxSrc + 64<<10
+	_, cl := startServer(t, Options{MaxSourceBytes: maxSrc})
+	addr := seedAddr
+
+	heating, err := os.ReadFile("../../examples/dsl/heating.gmdf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A trailing comment of '<', which JSON escapes as \u003c, pads the
+	// source to exactly the limit.
+	src := string(heating) + "#" + strings.Repeat("<", maxSrc-len(heating)-2) + "\n"
+	if len(src) != maxSrc {
+		t.Fatalf("padded source is %d bytes, want %d", len(src), maxSrc)
+	}
+	if _, err := cl.Create(CreateParams{Source: src}); err != nil {
+		t.Fatalf("maximum-size create: %v", err)
+	}
+
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := nc.Write([]byte(strings.Repeat("x", limit+1)))
+		wrote <- err
+	}()
+	if err := nc.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(nc)
+	line, err := br.ReadString('\n')
+	if err != nil {
+		t.Fatalf("no reply to an endless request line: %v", err)
+	}
+	if !strings.Contains(line, strconv.Itoa(limit)) {
+		t.Fatalf("reply %q does not name the %d-byte cap", line, limit)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		t.Fatalf("connection not closed after the cap: %v", err)
+	}
+	if err := <-wrote; err != nil {
+		t.Fatalf("writing the endless line: %v", err)
+	}
+	// The server and its other connections carry on.
+	if _, err := cl.Create(CreateParams{Model: "heating"}); err != nil {
+		t.Fatal(err)
 	}
 }

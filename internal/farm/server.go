@@ -2,9 +2,11 @@ package farm
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -47,7 +49,8 @@ type Options struct {
 	MaxSessions int
 	// MaxSourceBytes caps the scenario DSL source a create request may
 	// carry (DefaultMaxSourceBytes when zero, negative disables DSL
-	// creates entirely).
+	// creates entirely). It also sets the longest request line the
+	// server buffers (see maxRequestLine).
 	MaxSourceBytes int
 	// Logf, when set, receives one line per connection and session
 	// lifecycle event.
@@ -269,8 +272,13 @@ func (c *conn) readLoop() {
 		c.srv.dropConn(c)
 	}()
 	br := bufio.NewReaderSize(c.nc, 64<<10)
+	limit := c.srv.maxRequestLine()
 	for {
-		line, err := br.ReadBytes('\n')
+		line, err := readLine(br, limit)
+		if errors.Is(err, errLineTooLong) {
+			_ = c.writeJSON(ServerMsg{Error: fmt.Sprintf("farm: request line exceeds %d bytes; closing connection", limit)})
+			return
+		}
 		if len(line) > 1 {
 			var req Request
 			if uerr := json.Unmarshal(line, &req); uerr != nil {
@@ -295,6 +303,50 @@ func (c *conn) readLoop() {
 		}
 		if err != nil {
 			return
+		}
+	}
+}
+
+// requestEnvelope bounds everything in a request line but the scenario
+// source: method, ids, the other create parameters and JSON punctuation.
+const requestEnvelope = 64 << 10
+
+// maxRequestLine is the longest request line the server buffers: a create
+// carrying MaxSourceBytes of source with every byte escaped as \u00XX
+// (six bytes, JSON's worst case), plus the envelope.
+func (s *Server) maxRequestLine() int {
+	if s.opts.MaxSourceBytes < 0 {
+		return requestEnvelope
+	}
+	return 6*s.opts.MaxSourceBytes + requestEnvelope
+}
+
+var errLineTooLong = errors.New("farm: request line too long")
+
+// readLine reads one '\n'-terminated line whose content (newline
+// excluded) is at most limit bytes. It returns errLineTooLong as soon as
+// more than limit bytes have arrived without a newline, so a longer line
+// is never buffered past the limit and a stalled one is not waited on.
+func readLine(br *bufio.Reader, limit int) ([]byte, error) {
+	var line []byte
+	for {
+		if _, err := br.Peek(1); err != nil {
+			return line, err
+		}
+		buf, _ := br.Peek(br.Buffered())
+		i := bytes.IndexByte(buf, '\n')
+		content := len(line) + len(buf)
+		if i >= 0 {
+			buf = buf[:i+1]
+			content = len(line) + i
+		}
+		if content > limit {
+			return nil, errLineTooLong
+		}
+		line = append(line, buf...)
+		_, _ = br.Discard(len(buf)) // buf is buffered, so this cannot fail
+		if i >= 0 {
+			return line, nil
 		}
 	}
 }

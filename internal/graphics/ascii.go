@@ -28,7 +28,7 @@ func (sc *Scene) ASCII(sx, sy float64) string {
 		h = 1
 	}
 	c := newCanvas(w, h)
-	for _, s := range sc.Shapes() {
+	for _, s := range sc.paintOrder() {
 		drawShapeASCII(c, s, sx, sy)
 	}
 	return c.String()

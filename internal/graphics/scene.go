@@ -5,6 +5,21 @@
 // options offered by the abstraction guide in Fig. 4), deterministic
 // layout algorithms, and two renderers (SVG and ASCII) so animation frames
 // can be inspected both graphically and in terminals/tests.
+//
+// Rendering. Like GEF, the SVG renderer is retained: a debug event only
+// toggles a highlight or a badge, so a frame mostly repeats the last one.
+// A Scene caches its painter's order (re-sorted after Add or when a Z
+// moves) and keeps a memo of its last SVG frame: for each shape in paint
+// order, a copy of the shape as rendered and the span of its bytes in the
+// frame. SVG re-renders only the shapes that differ from their copy and
+// copies the rest from the previous frame; an unchanged scene gets the
+// previous string back without allocating. Shapes are checked by value,
+// every field, because Shape fields are exported and written directly,
+// so no writer has to mark anything dirty. Floats compare by bit pattern:
+// -0 and +0 print differently, and a NaN never matches and re-renders.
+// The memo makes SVG (and Shapes and ASCII, through the order cache) a
+// writer of scene state: it must not be called concurrently on one
+// Scene. Snapshot does not copy the memo.
 package graphics
 
 import (
@@ -111,12 +126,19 @@ func (s *Shape) Center() (float64, float64) {
 	return s.X + s.W/2, s.Y + s.H/2
 }
 
-// Scene is an ordered collection of shapes with an id index.
+// Scene is an ordered collection of shapes with an id index. Its
+// renderers write scene state (see Rendering in the package doc).
 type Scene struct {
 	W, H   float64
 	Title  string
 	shapes []*Shape
 	index  map[string]*Shape
+
+	// order is the painter's order as last sorted; orderZ holds each
+	// shape's Z at that time. Add clears order to force a re-sort.
+	order  []*Shape
+	orderZ []int
+	memo   svgMemo
 }
 
 // NewScene creates an empty scene with the given canvas size.
@@ -137,6 +159,7 @@ func (sc *Scene) Add(s *Shape) error {
 	}
 	sc.shapes = append(sc.shapes, s)
 	sc.index[s.ID] = s
+	sc.order = nil
 	return nil
 }
 
@@ -157,10 +180,29 @@ func (sc *Scene) Len() int { return len(sc.shapes) }
 // Shapes returns the shapes sorted by (Z, insertion order) — the painter's
 // order used by renderers.
 func (sc *Scene) Shapes() []*Shape {
-	out := make([]*Shape, len(sc.shapes))
-	copy(out, sc.shapes)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Z < out[j].Z })
-	return out
+	return append([]*Shape(nil), sc.paintOrder()...)
+}
+
+// paintOrder returns the cached painter's order, re-sorting only after an
+// Add or when some shape's Z moved since the last sort. The result is
+// scene-owned and must not be modified.
+func (sc *Scene) paintOrder() []*Shape {
+	if sc.order != nil {
+		i := 0
+		for i < len(sc.order) && sc.order[i].Z == sc.orderZ[i] {
+			i++
+		}
+		if i == len(sc.order) {
+			return sc.order
+		}
+	}
+	sc.order = append(sc.order[:0], sc.shapes...)
+	sort.SliceStable(sc.order, func(i, j int) bool { return sc.order[i].Z < sc.order[j].Z })
+	sc.orderZ = sc.orderZ[:0]
+	for _, s := range sc.order {
+		sc.orderZ = append(sc.orderZ, s.Z)
+	}
+	return sc.order
 }
 
 // SetHighlight toggles the highlight flag of a shape; unknown ids are an
@@ -213,7 +255,8 @@ func (sc *Scene) Highlighted() []string {
 }
 
 // Snapshot returns a deep copy of the scene; animation recording stores
-// one snapshot per frame.
+// one snapshot per frame. The copy starts without a render memo, so its
+// first SVG call renders every shape.
 func (sc *Scene) Snapshot() *Scene {
 	cp := NewScene(sc.W, sc.H)
 	cp.Title = sc.Title

@@ -1,6 +1,7 @@
 package graphics
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,12 +16,94 @@ var svgBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
+// svgMemo is the retained part of the SVG renderer: the last frame, the
+// header key it was rendered with, and one entry per shape in paint order.
+type svgMemo struct {
+	frame     string
+	w, h      float64
+	title     string
+	highlight Style
+	head      int // end of the header in frame
+	shapes    []shapeMemo
+}
+
+// shapeMemo is a copy of a shape as last rendered and the end of its bytes
+// in the frame; its bytes start where the previous shape's (or the
+// header) end.
+type shapeMemo struct {
+	key Shape
+	end int
+}
+
 // SVG renders the scene to a standalone SVG document. Output is
 // deterministic for identical scenes (stable painter's order), which lets
 // tests compare animation frames byte-for-byte.
+//
+// Shapes equal by value to their last rendered copy are not re-rendered:
+// their bytes are copied from the previous frame, and an unchanged scene
+// returns the previous string itself.
 func (sc *Scene) SVG() string {
+	order := sc.paintOrder()
+	m := &sc.memo
+	sameHeader := m.frame != "" && sameFloat(m.w, sc.W) && sameFloat(m.h, sc.H) && m.title == sc.Title
+	if !sameStyle(m.highlight, HighlightStyle) {
+		m.shapes = m.shapes[:0] // every highlighted shape renders differently
+		m.highlight = HighlightStyle
+	}
+	if sameHeader && len(m.shapes) == len(order) {
+		i := 0
+		for i < len(order) && sameShape(&m.shapes[i].key, order[i]) {
+			i++
+		}
+		if i == len(order) {
+			return m.frame
+		}
+	}
+
 	bp := svgBufPool.Get().(*[]byte)
 	buf := (*bp)[:0]
+	if sameHeader {
+		buf = append(buf, m.frame[:m.head]...)
+	} else {
+		buf = appendHeaderSVG(buf, sc)
+	}
+	old, oldStart := m.frame, m.head
+	m.head = len(buf)
+	run := -1 // start in old of the pending run of unchanged shapes
+	for i, s := range order {
+		if i < len(m.shapes) && sameShape(&m.shapes[i].key, s) {
+			if run < 0 {
+				run = oldStart
+			}
+			oldStart = m.shapes[i].end
+			m.shapes[i].end = len(buf) + oldStart - run
+			continue
+		}
+		if run >= 0 {
+			buf = append(buf, old[run:oldStart]...)
+			run = -1
+		}
+		buf = appendShapeSVG(buf, s)
+		if i < len(m.shapes) {
+			oldStart = m.shapes[i].end
+			m.shapes[i] = shapeMemo{*s, len(buf)}
+		} else {
+			m.shapes = append(m.shapes, shapeMemo{*s, len(buf)})
+		}
+	}
+	if run >= 0 {
+		buf = append(buf, old[run:oldStart]...)
+	}
+	buf = append(buf, "</svg>\n"...)
+
+	m.frame = string(buf)
+	m.w, m.h, m.title = sc.W, sc.H, sc.Title
+	*bp = buf[:0]
+	svgBufPool.Put(bp)
+	return m.frame
+}
+
+func appendHeaderSVG(buf []byte, sc *Scene) []byte {
 	buf = append(buf, `<svg xmlns="http://www.w3.org/2000/svg" width="`...)
 	buf = appendG(buf, sc.W)
 	buf = append(buf, `" height="`...)
@@ -36,14 +119,25 @@ func (sc *Scene) SVG() string {
 		buf = appendXMLEscaped(buf, sc.Title)
 		buf = append(buf, "</title>\n"...)
 	}
-	for _, s := range sc.Shapes() {
-		buf = appendShapeSVG(buf, s)
-	}
-	buf = append(buf, "</svg>\n"...)
-	out := string(buf)
-	*bp = buf[:0]
-	svgBufPool.Put(bp)
-	return out
+	return buf
+}
+
+// sameFloat compares by bit pattern: -0 and +0 print differently, and a
+// NaN never matches, so it simply re-renders.
+func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func sameStyle(a, b Style) bool {
+	return a.Stroke == b.Stroke && a.Fill == b.Fill && sameFloat(a.Width, b.Width) && a.Dashed == b.Dashed
+}
+
+// sameShape reports whether s renders exactly as its memo key k did. It
+// compares every field, so a direct write to any of them is seen without
+// the writer having to mark the shape dirty.
+func sameShape(k, s *Shape) bool {
+	return k.ID == s.ID && k.Kind == s.Kind && k.Label == s.Label && k.Badge == s.Badge &&
+		k.Highlight == s.Highlight && k.Z == s.Z &&
+		sameFloat(k.X, s.X) && sameFloat(k.Y, s.Y) && sameFloat(k.W, s.W) && sameFloat(k.H, s.H) &&
+		sameFloat(k.X2, s.X2) && sameFloat(k.Y2, s.Y2) && sameStyle(k.Style, s.Style)
 }
 
 func effectiveStyle(s *Shape) Style {
